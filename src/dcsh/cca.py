@@ -22,6 +22,7 @@ from .numerics import (
     DEFAULT_CLAMP,
     DEFAULT_REG,
     as_matrix,
+    autocovariance,
     center_columns,
     covariance,
     inv_sqrt_sym,
@@ -89,8 +90,8 @@ def dccf_loss(views, k, clamp=DEFAULT_CLAMP):
         raise ConfigurationError(f"k={k} outside valid range [1, {limit}]")
     Xc = center_columns(views.X)
     Yc = center_columns(views.Y)
-    Sxx_isqrt = inv_sqrt_sym(covariance(Xc, Xc, views.reg), clamp)
-    Syy_isqrt = inv_sqrt_sym(covariance(Yc, Yc, views.reg), clamp)
+    Sxx_isqrt = inv_sqrt_sym(autocovariance(Xc, views.reg), clamp)
+    Syy_isqrt = inv_sqrt_sym(autocovariance(Yc, views.reg), clamp)
     K = Sxx_isqrt @ covariance(Xc, Yc) @ Syy_isqrt
     U, sigma, V = thin_svd(K)
     top = sigma[:k]

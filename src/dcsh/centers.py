@@ -110,22 +110,23 @@ def gen_bernoulli_centers(B, C, seed, trials=100):
         codes = rng.integers(0, 2, size=(C, B), dtype=np.uint8)
         if C == 1:
             return HashCenterSet(codes=codes, epoch=0)
-        diff = codes[:, None, :] != codes[None, :, :]
-        dist = diff.sum(axis=2)
-        min_dist = int(dist[np.triu_indices(C, k=1)].min())
+        min_dist = _min_distance(codes)
         if min_dist > best_dist:
             best, best_dist = codes, min_dist
     return HashCenterSet(codes=best, epoch=0)
 
 
-def min_pairwise_distance(centers):
-    """Smallest Hamming distance over all codeword pairs."""
-    codes = centers.codes
-    if centers.C < 2:
-        raise ConfigurationError("need at least two codewords")
+def _min_distance(codes):
     diff = codes[:, None, :] != codes[None, :, :]
     dist = diff.sum(axis=2)
-    return int(dist[np.triu_indices(centers.C, k=1)].min())
+    return int(dist[np.triu_indices(codes.shape[0], k=1)].min())
+
+
+def min_pairwise_distance(centers):
+    """Smallest Hamming distance over all codeword pairs."""
+    if centers.C < 2:
+        raise ConfigurationError("need at least two codewords")
+    return _min_distance(centers.codes)
 
 
 def assign_target(labels, centers, seed):

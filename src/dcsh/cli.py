@@ -12,15 +12,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, formats
 from .centers import (
     gen_bernoulli_centers,
     gen_hadamard_centers,
     min_pairwise_distance,
 )
-from .data import gen_synthetic
+from .data import gen_synthetic, split_indices
 from .errors import (
     ConfigurationError,
     CoverageError,
@@ -338,19 +336,6 @@ def _cmd_train(args):
     return 0
 
 
-def _split_indices(tags, which):
-    if which == "all":
-        return np.arange(len(tags), dtype=np.int64)
-    if which not in ("train", "gallery", "query"):
-        raise ConfigurationError(
-            f"split must be train, gallery, query, or all, got {which!r}"
-        )
-    return np.array(
-        [n for n, t in enumerate(tags) if which in t.split("+")],
-        dtype=np.int64,
-    )
-
-
 def _cmd_encode(args):
     layers = formats.read_model(args.model)
     model = DcshModel(layers, n_extractor=len(layers) - 3)
@@ -360,7 +345,7 @@ def _cmd_encode(args):
         raise ParseError(
             args.splits, f"{len(tags)} split lines vs {X.shape[0]} feature rows"
         )
-    ids = _split_indices(tags, args.split)
+    ids = split_indices(tags, args.split)
     if ids.shape[0] == 0:
         raise ConfigurationError(f"split {args.split!r} selects no samples")
     x_h, _, _ = forward(model, X[ids])

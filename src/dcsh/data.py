@@ -72,23 +72,32 @@ class Dataset:
     def D(self):
         return self.features.shape[1]
 
-    def _indices(self, member):
-        return np.array(
-            [n for n, t in enumerate(self.tags) if member in t.split("+")],
-            dtype=np.int64,
-        )
-
     @property
     def train_indices(self):
-        return self._indices(TAG_TRAIN)
+        return split_indices(self.tags, TAG_TRAIN)
 
     @property
     def gallery_indices(self):
-        return self._indices(TAG_GALLERY)
+        return split_indices(self.tags, TAG_GALLERY)
 
     @property
     def query_indices(self):
-        return self._indices(TAG_QUERY)
+        return split_indices(self.tags, TAG_QUERY)
+
+
+def split_indices(tags, which):
+    """Rows whose tag names `which` (train, gallery or query); "all"
+    selects every row."""
+    if which == "all":
+        return np.arange(len(tags), dtype=np.int64)
+    if which not in (TAG_TRAIN, TAG_GALLERY, TAG_QUERY):
+        raise ConfigurationError(
+            f"split must be train, gallery, query, or all, got {which!r}"
+        )
+    return np.array(
+        [n for n, t in enumerate(tags) if which in t.split("+")],
+        dtype=np.int64,
+    )
 
 
 def multi_hot(labels, C):

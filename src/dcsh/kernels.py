@@ -1,41 +1,21 @@
-"""Backend selection for the packed-code Hamming kernels.
-
-The compiled extension is preferred when it imports; the numpy
-fallback has identical semantics and takes over silently otherwise.
-Set DCSH_NO_EXTENSION=1 before import to force the fallback, e.g. for
-benchmarking the two side by side.
-"""
-
-import os
+"""Hamming distance over packed 64-bit words, counted with np.bitwise_count."""
 
 import numpy as np
 
-from . import _hamming_py
-
-if os.environ.get("DCSH_NO_EXTENSION"):
-    _impl = _hamming_py
-else:
-    try:
-        from . import _hammingx as _impl
-    except ImportError:
-        _impl = _hamming_py
-
-BACKEND = _impl.BACKEND
-
 
 def scan_distances(gallery_words, query_words):
-    """Hamming distances from one packed query to every gallery row."""
+    """Hamming distances from one packed query to every gallery row.
+
+    gallery: (N, W) uint64, query: (W,) uint64 -> (N,) int64.
+    """
     gallery = np.ascontiguousarray(gallery_words, dtype=np.uint64)
     query = np.ascontiguousarray(query_words, dtype=np.uint64)
     if gallery.ndim != 2 or query.ndim != 1:
         raise ValueError("expected (N, W) gallery and (W,) query")
-    return _impl.scan_distances(gallery, query)
-
-
-def pair_distance(a_words, b_words):
-    """Hamming distance between two packed codewords."""
-    a = np.ascontiguousarray(a_words, dtype=np.uint64)
-    b = np.ascontiguousarray(b_words, dtype=np.uint64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("expected 1-D word arrays")
-    return _impl.pair_distance(a, b)
+    if gallery.shape[1] != query.shape[0]:
+        raise ValueError(
+            f"word counts differ: {gallery.shape[1]} vs {query.shape[0]}"
+        )
+    return np.bitwise_count(np.bitwise_xor(gallery, query[None, :])).sum(
+        axis=-1, dtype=np.int64
+    )

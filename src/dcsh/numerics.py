@@ -34,27 +34,31 @@ def center_columns(X):
     return A - A.mean(axis=0, keepdims=True)
 
 
-def covariance(Xc, Yc, reg=0.0):
-    """Cross-covariance of two column-centered views, divisor M-1.
-
-    When both arguments are the same array object the view is being
-    correlated with itself and reg is added to the diagonal; cross
-    terms never receive the regularizer.
-    """
+def autocovariance(Xc, reg):
+    """Covariance of a column-centered view with itself, divisor M-1,
+    with reg added to the diagonal."""
     A = as_matrix(Xc, "Xc")
-    B = A if Yc is Xc else as_matrix(Yc, "Yc")
+    if A.shape[0] < 2:
+        raise DimensionError("covariance needs at least 2 rows")
+    if reg < 0:
+        raise NumericError(f"reg must be non-negative, got {reg}")
+    S = A.T @ A / (A.shape[0] - 1)
+    if reg > 0:
+        S = S + reg * np.eye(A.shape[1])
+    return S
+
+
+def covariance(Xc, Yc):
+    """Cross-covariance of two column-centered views, divisor M-1."""
+    A = as_matrix(Xc, "Xc")
+    B = as_matrix(Yc, "Yc")
     if A.shape[0] != B.shape[0]:
         raise DimensionError(
             f"row counts differ: {A.shape[0]} vs {B.shape[0]}"
         )
     if A.shape[0] < 2:
         raise DimensionError("covariance needs at least 2 rows")
-    if reg < 0:
-        raise NumericError(f"reg must be non-negative, got {reg}")
-    S = A.T @ B / (A.shape[0] - 1)
-    if B is A and reg > 0:
-        S = S + reg * np.eye(A.shape[1])
-    return S
+    return A.T @ B / (A.shape[0] - 1)
 
 
 def inv_sqrt_sym(S, clamp=DEFAULT_CLAMP):

@@ -69,7 +69,7 @@ def hamming(a, b):
         raise DimensionError(
             f"codeword lengths differ: {A.shape[0]} vs {Bv.shape[0]}"
         )
-    return kernels.pair_distance(pack_codes(A[None, :])[0], pack_codes(Bv[None, :])[0])
+    return int(np.count_nonzero(A != Bv))
 
 
 class PackedCodeIndex:
@@ -206,18 +206,25 @@ class MapResult:
     aps: np.ndarray
 
 
-def map_at_k(queries, gallery, k, rule):
-    """Mean average precision at k of every query against the gallery."""
+def _check_queries(queries, gallery):
     _require_labels(queries, "query")
     if queries.N == 0:
         raise ConfigurationError("query set is empty")
+    if queries.B != gallery.B:
+        raise DimensionError(
+            f"queries have {queries.B} bits, gallery holds {gallery.B}"
+        )
+
+
+def map_at_k(queries, gallery, k, rule):
+    """Mean average precision at k of every query against the gallery."""
+    _check_queries(queries, gallery)
     if k < 1:
         raise ConfigurationError(f"k must be positive, got {k}")
     aps = np.empty(queries.N, dtype=np.float64)
-    q_bits = unpack_codes(queries.words, queries.B)
     for i in range(queries.N):
         rel_mask = relevance_mask(queries.labels[i], gallery, rule)
-        dists = gallery.distances(q_bits[i])
+        dists = kernels.scan_distances(gallery.words, queries.words[i])
         order = np.lexsort((gallery.ids, dists))[: min(k, gallery.N)]
         aps[i] = average_precision(
             rel_mask[order].astype(np.uint8), int(rel_mask.sum())
@@ -232,21 +239,18 @@ def pr_curve(queries, gallery, rule):
     threshold contributes precision 1 there. Queries with no relevant
     gallery samples are skipped.
     """
-    _require_labels(queries, "query")
-    if queries.N == 0:
-        raise ConfigurationError("query set is empty")
+    _check_queries(queries, gallery)
     B = gallery.B
     thresholds = np.arange(B + 1, dtype=np.int64)
     precision_sum = np.zeros(B + 1, dtype=np.float64)
     recall_sum = np.zeros(B + 1, dtype=np.float64)
     counted = 0
-    q_bits = unpack_codes(queries.words, queries.B)
     for i in range(queries.N):
         rel_mask = relevance_mask(queries.labels[i], gallery, rule)
         R_total = int(rel_mask.sum())
         if R_total == 0:
             continue
-        dists = gallery.distances(q_bits[i])
+        dists = kernels.scan_distances(gallery.words, queries.words[i])
         retrieved = np.cumsum(np.bincount(dists, minlength=B + 1))
         hits = np.cumsum(np.bincount(dists[rel_mask], minlength=B + 1))
         precision = np.where(retrieved > 0, hits / np.maximum(retrieved, 1), 1.0)

@@ -264,6 +264,16 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric abort" in capsys.readouterr().err
 
+    def test_unknown_encode_split(self, pipeline, tmp_path, capsys):
+        assert main([
+            "encode", "--model", str(pipeline / "run" / "model.bin"),
+            "--features", str(pipeline / "data" / "features.bin"),
+            "--splits", str(pipeline / "data" / "splits.txt"),
+            "--split", "bogus", "--out", str(tmp_path / "out"),
+        ]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == __version__

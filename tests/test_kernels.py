@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from dcsh import _hamming_py, kernels
+from dcsh import kernels
 from dcsh.retrieval import pack_codes
-
-try:
-    from dcsh import _hammingx
-except ImportError:
-    _hammingx = None
-
-
-def random_words(rng, N, W):
-    return rng.integers(0, np.iinfo(np.uint64).max, size=(N, W),
-                        dtype=np.uint64, endpoint=True)
 
 
 class TestNumpyKernels:
@@ -20,89 +10,49 @@ class TestNumpyKernels:
         gallery = np.array([[0], [1], [0b1011]], dtype=np.uint64)
         query = np.array([0], dtype=np.uint64)
         np.testing.assert_array_equal(
-            _hamming_py.scan_distances(gallery, query), [0, 1, 3]
+            kernels.scan_distances(gallery, query), [0, 1, 3]
         )
 
     def test_all_ones_word(self):
         gallery = np.array([[np.iinfo(np.uint64).max]], dtype=np.uint64)
         query = np.array([0], dtype=np.uint64)
-        assert _hamming_py.scan_distances(gallery, query)[0] == 64
+        assert kernels.scan_distances(gallery, query)[0] == 64
 
-    def test_pair_distance(self):
+    def test_multi_word_distance(self):
+        # distances add up across the words of a multi-word code
         a = np.array([0b1100, 0], dtype=np.uint64)
         b = np.array([0b1010, 1], dtype=np.uint64)
-        assert _hamming_py.pair_distance(a, b) == 3
+        np.testing.assert_array_equal(kernels.scan_distances(a[None, :], b), [3])
 
     def test_word_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            _hamming_py.scan_distances(
+            kernels.scan_distances(
                 np.zeros((2, 2), dtype=np.uint64), np.zeros(1, dtype=np.uint64)
             )
 
-    def test_byte_table_matches_bitwise_count(self):
-        # exercise the table path explicitly so both fallbacks stay honest
-        table = np.array([bin(v).count("1") for v in range(256)],
-                         dtype=np.uint8)
-        rng = np.random.default_rng(0)
-        words = random_words(rng, 50, 3)
-        by = words.reshape(-1, words.shape[-1]).view(np.uint8)
-        table_counts = table[by].sum(axis=1, dtype=np.int64)
-        np.testing.assert_array_equal(
-            table_counts,
-            np.bitwise_count(words).sum(axis=-1, dtype=np.int64),
-        )
-
-
-@pytest.mark.skipif(_hammingx is None, reason="compiled extension not built")
-class TestExtensionParity:
-    def test_backend_tag(self):
-        assert _hammingx.BACKEND == "cython"
-
-    @pytest.mark.parametrize("W", [1, 2, 3, 5])
-    def test_scan_parity(self, W):
-        rng = np.random.default_rng(W)
-        gallery = random_words(rng, 500, W)
-        for _ in range(10):
-            query = random_words(rng, 1, W)[0]
-            fast = _hammingx.scan_distances(gallery, query)
-            slow = _hamming_py.scan_distances(gallery, query)
-            np.testing.assert_array_equal(np.asarray(fast), slow)
-
-    def test_pair_parity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            W = int(rng.integers(1, 6))
-            a = random_words(rng, 1, W)[0]
-            b = random_words(rng, 1, W)[0]
-            assert _hammingx.pair_distance(a, b) == _hamming_py.pair_distance(a, b)
-
-    def test_packed_codes_parity(self):
+    def test_packed_codes_against_bit_loop(self):
         rng = np.random.default_rng(10)
         bits = rng.integers(0, 2, size=(300, 67), dtype=np.uint8)
         words = pack_codes(bits)
-        qbits = rng.integers(0, 2, size=67, dtype=np.uint8)
-        query = pack_codes(qbits[None, :])[0]
-        fast = np.asarray(_hammingx.scan_distances(words, query))
-        slow = _hamming_py.scan_distances(words, query)
-        naive = (bits != qbits[None, :]).sum(axis=1)
-        np.testing.assert_array_equal(fast, slow)
-        np.testing.assert_array_equal(fast, naive)
+        for _ in range(10):
+            qbits = rng.integers(0, 2, size=67, dtype=np.uint8)
+            naive = (bits != qbits[None, :]).sum(axis=1)
+            np.testing.assert_array_equal(
+                kernels.scan_distances(words, pack_codes(qbits[None, :])[0]),
+                naive,
+            )
 
 
 class TestDispatch:
-    def test_backend_is_declared(self):
-        assert kernels.BACKEND in ("cython", "numpy")
-
     def test_wrapper_validates_shapes(self):
         with pytest.raises(ValueError):
             kernels.scan_distances(np.zeros(3, dtype=np.uint64),
                                    np.zeros(3, dtype=np.uint64))
         with pytest.raises(ValueError):
-            kernels.pair_distance(np.zeros((1, 1), dtype=np.uint64),
-                                  np.zeros(1, dtype=np.uint64))
+            kernels.scan_distances(np.zeros((1, 1), dtype=np.uint64),
+                                   np.zeros((1, 1), dtype=np.uint64))
 
     def test_wrapper_accepts_lists(self):
-        assert kernels.pair_distance([3], [1]) == 1
         np.testing.assert_array_equal(
             kernels.scan_distances([[0], [7]], [7]), [3, 0]
         )

@@ -3,6 +3,7 @@ import pytest
 
 from dcsh.errors import DimensionError, NumericError
 from dcsh.numerics import (
+    autocovariance,
     center_columns,
     covariance,
     fd_gradient,
@@ -55,14 +56,28 @@ class TestCovariance:
 
     def test_diagonal_load_on_self_view(self):
         Xc = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        out = covariance(Xc, Xc, reg=1e-4)
+        out = autocovariance(Xc, 1e-4)
         np.testing.assert_allclose(out, [[2.0001, 0.0], [0.0, 0.0001]])
 
     def test_reg_skipped_for_distinct_views(self):
+        # the cross covariance carries no ridge term, even for an equal copy
         Xc = np.array([[-1.0, 0.0], [1.0, 0.0]])
         Yc = Xc.copy()
-        out = covariance(Xc, Yc, reg=1e-4)
+        out = covariance(Xc, Yc)
         np.testing.assert_allclose(out, [[2.0, 0.0], [0.0, 0.0]])
+
+    def test_copy_gets_the_same_ridge(self):
+        rng = np.random.default_rng(4)
+        Xc = center_columns(rng.standard_normal((10, 3)))
+        S = autocovariance(Xc, 0.5)
+        np.testing.assert_array_equal(autocovariance(Xc.copy(), 0.5), S)
+        np.testing.assert_allclose(
+            S - autocovariance(Xc, 0.0), 0.5 * np.eye(3), atol=1e-12
+        )
+
+    def test_negative_reg_rejected(self):
+        with pytest.raises(NumericError):
+            autocovariance(np.zeros((4, 2)), -1e-4)
 
     def test_self_covariance_positive_definite(self):
         rng = np.random.default_rng(2)
@@ -70,7 +85,7 @@ class TestCovariance:
             for _ in range(10):
                 X = rng.standard_normal((rng.integers(4, 40), rng.integers(1, 6)))
                 Xc = center_columns(X)
-                S = covariance(Xc, Xc, reg)
+                S = autocovariance(Xc, reg)
                 np.testing.assert_allclose(S, S.T, atol=1e-12)
                 assert np.linalg.eigvalsh(S).min() >= reg - 1e-10
 

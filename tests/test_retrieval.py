@@ -19,6 +19,17 @@ def naive_hamming(a, b):
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
+def width_mismatch_pair():
+    """B=32 queries against a B=40 gallery: both fit in one 64-bit word."""
+    g = PackedCodeIndex.from_bits(
+        np.zeros((3, 40), dtype=np.uint8), ids=[0, 1, 2], labels=[[0]] * 3
+    )
+    q = PackedCodeIndex.from_bits(
+        np.zeros((2, 32), dtype=np.uint8), ids=[9, 10], labels=[[0]] * 2
+    )
+    return q, g
+
+
 class TestPacking:
     @pytest.mark.parametrize("B", [1, 7, 12, 63, 64, 65, 67, 128, 130])
     def test_roundtrip(self, B):
@@ -328,6 +339,11 @@ class TestMapAtK:
         with pytest.raises(ConfigurationError):
             map_at_k(q, g, k=1, rule="same-class")
 
+    def test_bit_width_mismatch_rejected(self):
+        q, g = width_mismatch_pair()
+        with pytest.raises(DimensionError):
+            map_at_k(q, g, k=3, rule="same-class")
+
 
 class TestPrCurve:
     def test_hand_case(self):
@@ -394,4 +410,9 @@ class TestPrCurve:
             np.array([[0, 0]], dtype=np.uint8), ids=[9], labels=[[1]]
         )
         with pytest.raises(ConfigurationError):
+            pr_curve(q, g, "same-class")
+
+    def test_bit_width_mismatch_rejected(self):
+        q, g = width_mismatch_pair()
+        with pytest.raises(DimensionError):
             pr_curve(q, g, "same-class")
