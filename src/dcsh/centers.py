@@ -8,6 +8,7 @@ class center is recomputed from the network's hash outputs.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +44,21 @@ class LabelSet:
 
     def __contains__(self, c):
         return c in self.classes
+
+
+def label_incidence(labels, C):
+    """Label sets -> N x C boolean table, True where a sample carries a
+    class; column-major, so one class is one contiguous column."""
+    sets = [l if isinstance(l, LabelSet) else LabelSet(l) for l in labels]
+    classes = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
+    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    out = np.flatnonzero(classes >= C)
+    if out.size:
+        n = int(rows[out[0]])
+        raise LabelError(f"sample {n} has class index {sets[n].classes[-1]} >= C={C}")
+    table = np.zeros((C, len(sets)), dtype=bool).T
+    table[rows, classes] = True
+    return table
 
 
 @dataclass(frozen=True)
@@ -179,20 +195,9 @@ def update_centers(hashes, labels, C, epoch=0, normalized=False):
         )
     if not np.all(np.isfinite(H)):
         raise DimensionError("hashes contain non-finite entries")
-    label_sets = [
-        l if isinstance(l, LabelSet) else LabelSet(l) for l in labels
-    ]
-    W = np.zeros((H.shape[0], C), dtype=np.float64)
-    counts = np.zeros(C, dtype=np.int64)
-    for n, ls in enumerate(label_sets):
-        if ls.classes[-1] >= C:
-            raise LabelError(
-                f"sample {n} has class index {ls.classes[-1]} >= C={C}"
-            )
-        w = 1.0 / len(ls)
-        for c in ls:
-            W[n, c] = w
-            counts[c] += 1
+    Y = label_incidence(labels, C).astype(np.float64, order="C")
+    counts = np.count_nonzero(Y, axis=0)
+    W = Y / Y.sum(axis=1, keepdims=True)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
         raise CoverageError(f"class {missing} has no samples")

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centers import LabelSet
-from .errors import ConfigurationError, DimensionError, LabelError
+from .centers import LabelSet, label_incidence
+from .errors import ConfigurationError, DimensionError
 
 TAG_TRAIN = "train"
 TAG_GALLERY = "gallery"
@@ -47,11 +47,7 @@ class Dataset:
             )
         if self.C < 1:
             raise ConfigurationError(f"need at least one class, got C={self.C}")
-        for n, ls in enumerate(labels):
-            if ls.classes[-1] >= self.C:
-                raise LabelError(
-                    f"sample {n} has class index {ls.classes[-1]} >= C={self.C}"
-                )
+        label_incidence(labels, self.C)  # LabelError for a class >= C
         tags = tuple(self.tags)
         object.__setattr__(self, "tags", tags)
         if len(tags) != F.shape[0]:
@@ -102,16 +98,7 @@ def split_indices(tags, which):
 
 def multi_hot(labels, C):
     """Label sets -> N x C float64 indicator matrix."""
-    Y = np.zeros((len(labels), C), dtype=np.float64)
-    for n, ls in enumerate(labels):
-        if not isinstance(ls, LabelSet):
-            ls = LabelSet(ls)
-        if ls.classes[-1] >= C:
-            raise LabelError(
-                f"sample {n} has class index {ls.classes[-1]} >= C={C}"
-            )
-        Y[n, list(ls.classes)] = 1.0
-    return Y
+    return label_incidence(labels, C).astype(np.float64, order="C")
 
 
 def gen_synthetic(N, D, C, B_separation=6.0, multilabel_p=0.0, seed=0,

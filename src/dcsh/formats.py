@@ -40,8 +40,37 @@ def _check_header(path, blob, magic):
     return len(magic) + 4
 
 
+def _read_lines(path):
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read().splitlines()
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _fmt_float(x):
     return repr(float(x))
+
+
+def _bits_to_text(bits):
+    """N x B array of 0/1 -> one string of B `0`/`1` characters per row."""
+    A = np.asarray(bits)
+    B = A.shape[1]
+    blob = ((A != 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    return [blob[n * B:(n + 1) * B] for n in range(A.shape[0])]
+
+
+def _text_to_bits(rows, B):
+    """`0`/`1` strings -> (N x B uint8 bits, index of the first row that is
+    not B characters of 0/1, or None); no row from that one on is decoded."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    n = int(np.append(np.flatnonzero(lengths != B), len(rows))[0])
+    chars = np.frombuffer("".join(rows[:n]).encode("ascii"), dtype=np.uint8)
+    bits = (chars - np.uint8(ord("0"))).reshape(n, B)
+    bad = int(np.append(np.flatnonzero((bits > 1).any(axis=1)), n)[0])
+    return bits, (bad if bad < len(rows) else None)
 
 
 # ---------------------------------------------------------------- features
@@ -80,18 +109,12 @@ def read_features(path):
 # ------------------------------------------------------------------ labels
 
 def write_labels(path, labels, C):
-    lines = [f"classes={C}"]
-    for ls in labels:
-        if not isinstance(ls, LabelSet):
-            ls = LabelSet(ls)
-        lines.append(",".join(str(c) for c in ls.classes))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [",".join(map(str, LabelSet(ls))) for ls in labels]
+    _write_lines(path, [f"classes={C}"] + rows)
 
 
 def read_labels(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("classes="):
         raise ParseError(path, "missing classes=<C> header", line=1)
     try:
@@ -125,13 +148,11 @@ def write_split(path, tags):
     for tag in tags:
         if tag not in SPLIT_TAGS:
             raise ParseError(path, f"unknown split tag {tag!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(tags) + "\n")
+    _write_lines(path, tags)
 
 
 def read_split(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     tags = []
     for ln, text in enumerate(lines, start=1):
         if text not in SPLIT_TAGS:
@@ -172,16 +193,12 @@ def load_dataset(feature_path, label_path, split_path):
 # ----------------------------------------------------------------- centers
 
 def write_centers(path, centers):
-    lines = [f"B={centers.B} C={centers.C} epoch={centers.epoch}"]
-    for row in centers.codes:
-        lines.append("".join("1" if b else "0" for b in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = f"B={centers.B} C={centers.C} epoch={centers.epoch}"
+    _write_lines(path, [head] + _bits_to_text(centers.codes))
 
 
 def read_centers(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(path, "empty center file", line=1)
     head = lines[0].split()
@@ -200,13 +217,9 @@ def read_centers(path):
     rows = lines[1:]
     if len(rows) != C:
         raise ParseError(path, f"expected {C} center lines, found {len(rows)}")
-    codes = np.zeros((C, B), dtype=np.uint8)
-    for c, text in enumerate(rows):
-        if len(text) != B or set(text) - {"0", "1"}:
-            raise ParseError(
-                path, f"center line must be {B} chars of 0/1", line=c + 2
-            )
-        codes[c] = [1 if ch == "1" else 0 for ch in text]
+    codes, bad = _text_to_bits(rows, B)
+    if bad is not None:
+        raise ParseError(path, f"center line must be {B} chars of 0/1", line=bad + 2)
     return HashCenterSet(codes=codes, epoch=epoch)
 
 
@@ -217,39 +230,45 @@ def write_codes_text(path, ids, bits):
     ids = np.asarray(ids, dtype=np.int64)
     if A.ndim != 2 or ids.shape[0] != A.shape[0]:
         raise ParseError(path, "ids and code rows must align")
-    lines = []
-    for i, row in zip(ids, A):
-        lines.append(f"{i}\t" + "".join("1" if b else "0" for b in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = _bits_to_text(A)
+    _write_lines(path, [f"{i}\t{row}" for i, row in zip(ids.tolist(), rows)])
 
 
 def read_codes_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """`<id>\\t<bits>` lines -> (ids, N x B bits); the first line sets B,
+    ids are distinct, and the first bad line is reported."""
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(path, "empty code file", line=1)
+    B = len(lines[0].partition("\t")[2])
     ids = []
-    rows = []
-    B = None
+    codes = []
+    stop = None
     for ln, text in enumerate(lines, start=1):
         ident, tab, code = text.partition("\t")
         if tab != "\t":
-            raise ParseError(path, "expected <id>\\t<bits>", line=ln)
+            stop = ParseError(path, "expected <id>\\t<bits>", line=ln)
+            break
         try:
             ids.append(int(ident))
         except ValueError:
-            raise ParseError(path, f"bad id {ident!r}", line=ln) from None
-        if B is None:
-            B = len(code)
-            if B == 0:
-                raise ParseError(path, "empty codeword", line=ln)
-        if len(code) != B or set(code) - {"0", "1"}:
-            raise ParseError(
-                path, f"codeword must be {B} chars of 0/1", line=ln
-            )
-        rows.append([1 if ch == "1" else 0 for ch in code])
-    return np.asarray(ids, dtype=np.int64), np.asarray(rows, dtype=np.uint8)
+            stop = ParseError(path, f"bad id {ident!r}", line=ln)
+            break
+        codes.append(code)
+    if ids and B == 0:
+        raise ParseError(path, "empty codeword", line=1)
+    bits, bad = _text_to_bits(codes, B)
+    if bad is not None:
+        raise ParseError(path, f"codeword must be {B} chars of 0/1", line=bad + 1)
+    if stop is not None:
+        raise stop
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        n = int(repeats.min())
+        raise ParseError(path, f"duplicate id {ids[n]}", line=n + 1)
+    return ids, bits
 
 
 def write_codes_packed(path, words, B):
@@ -345,13 +364,11 @@ def write_loss_csv(path, rows):
     for epoch, train, test in rows:
         tail = "" if test is None else _fmt_float(test)
         lines.append(f"{epoch},{_fmt_float(train)},{tail}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_loss_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != "epoch,train_loss,test_loss":
         raise ParseError(path, "bad loss CSV header", line=1)
     rows = []
@@ -370,39 +387,29 @@ def read_loss_csv(path):
 
 
 def write_pr_csv(path, thresholds, recalls, precisions):
-    lines = ["threshold,recall,precision"]
-    for t, r, p in zip(thresholds, recalls, precisions):
-        lines.append(f"{int(t)},{_fmt_float(r)},{_fmt_float(p)}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [f"{int(t)},{_fmt_float(r)},{_fmt_float(p)}"
+            for t, r, p in zip(thresholds, recalls, precisions)]
+    _write_lines(path, ["threshold,recall,precision"] + rows)
 
 
 def write_map_csv(path, k, map_value):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("k,map\n")
-        fh.write(f"{int(k)},{_fmt_float(map_value)}\n")
+    _write_lines(path, ["k,map", f"{int(k)},{_fmt_float(map_value)}"])
 
 
 def write_ap_csv(path, query_ids, aps):
-    lines = ["id,ap"]
-    for i, ap in zip(query_ids, aps):
-        lines.append(f"{int(i)},{_fmt_float(ap)}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [f"{int(i)},{_fmt_float(ap)}" for i, ap in zip(query_ids, aps)]
+    _write_lines(path, ["id,ap"] + rows)
 
 
 # --------------------------------------------------------------- manifests
 
 def write_manifest(path, mapping):
-    lines = [f"{key}={mapping[key]}" for key in sorted(mapping)]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [f"{key}={mapping[key]}" for key in sorted(mapping)])
 
 
 def read_config(path):
     """key=value lines; blank lines and # comments are ignored."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     config = {}
     for ln, text in enumerate(lines, start=1):
         stripped = text.strip()

@@ -6,7 +6,8 @@ import numpy as np
 def scan_distances(gallery_words, query_words):
     """Hamming distances from one packed query to every gallery row.
 
-    gallery: (N, W) uint64, query: (W,) uint64 -> (N,) int64.
+    gallery: (N, W) uint64, query: (W,) uint64 -> (N,) distances of the
+    smallest unsigned type that holds 64 * W, so a stable sort is a radix sort.
     """
     gallery = np.ascontiguousarray(gallery_words, dtype=np.uint64)
     query = np.ascontiguousarray(query_words, dtype=np.uint64)
@@ -17,5 +18,5 @@ def scan_distances(gallery_words, query_words):
             f"word counts differ: {gallery.shape[1]} vs {query.shape[0]}"
         )
     return np.bitwise_count(np.bitwise_xor(gallery, query[None, :])).sum(
-        axis=-1, dtype=np.int64
+        axis=-1, dtype=np.min_scalar_type(64 * gallery.shape[1])
     )

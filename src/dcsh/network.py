@@ -268,16 +268,6 @@ class TrainConfig:
             )
 
 
-def _check_coverage(labels, C):
-    seen = np.zeros(C, dtype=bool)
-    for ls in labels:
-        for c in ls:
-            seen[c] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise CoverageError(f"class {missing} has no training samples")
-
-
 def _target_matrix(labels, centers, seed):
     return np.array(
         [assign_target(ls, centers, seed) for ls in labels], dtype=np.float64
@@ -319,7 +309,10 @@ def train(model, config, dataset, centers0):
         )
     X_train = dataset.features[train_idx]
     labels_train = [dataset.labels[int(i)] for i in train_idx]
-    _check_coverage(labels_train, C)
+    Y_c_train = multi_hot(labels_train, C)
+    missing = np.flatnonzero(~Y_c_train.any(axis=0))
+    if missing.size:
+        raise CoverageError(f"class {missing[0]} has no training samples")
     query_idx = dataset.query_indices
     has_test = query_idx.shape[0] > max(B, C)
     if has_test:
@@ -346,7 +339,7 @@ def train(model, config, dataset, centers0):
             sel = perm[bi * M:(bi + 1) * M]
             batch_labels = [labels_train[int(i)] for i in sel]
             Y_h = _target_matrix(batch_labels, centers, config.seed)
-            Y_c = multi_hot(batch_labels, C)
+            Y_c = Y_c_train[sel]
             x_h, x_c, cache = forward(model, X_train[sel])
             loss, g_xh, g_xc = dcsh_loss(
                 x_h, Y_h, x_c, Y_c, alpha_value, config.reg, config.clamp

@@ -3,7 +3,10 @@
 Gallery codes are packed into ceil(B/64) 64-bit words per sample, bit j
 at bit (j mod 64) of word (j div 64), and scanned linearly with a
 popcount kernel. Rankings order by distance, then ascending id, so
-every result is deterministic regardless of storage order.
+every result is deterministic regardless of storage order (`_rank`).
+A gallery sample is relevant to a query when it carries one of the
+query's classes (`relevance_mask`); the same-class rule only adds that
+every label set, the query's included, holds exactly one class.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .centers import LabelSet
+from .centers import LabelSet, label_incidence
 from .errors import ConfigurationError, DimensionError, LabelError
 
 SAME_CLASS = "same-class"
@@ -73,7 +76,9 @@ def hamming(a, b):
 
 
 class PackedCodeIndex:
-    """Immutable gallery of packed codes with ids and optional labels."""
+    """Immutable gallery of packed codes with ids and optional labels;
+    `id_order` lists the rows by ascending id, `incidence` is the label
+    table up to the largest class, `single_label` says each row has one."""
 
     def __init__(self, words, B, ids, labels=None):
         self.words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -92,17 +97,25 @@ class PackedCodeIndex:
         self.ids = np.asarray(ids, dtype=np.int64)
         if self.ids.ndim != 1 or self.ids.shape[0] != self.words.shape[0]:
             raise DimensionError("ids must align with code rows")
-        if len(np.unique(self.ids)) != self.ids.shape[0]:
+        self.id_order = np.argsort(self.ids, kind="stable")
+        by_id = self.ids[self.id_order]
+        if np.any(by_id[1:] == by_id[:-1]):
             raise ConfigurationError("gallery ids must be unique")
+        self.incidence = self.single_label = None
         if labels is not None:
             labels = tuple(
                 l if isinstance(l, LabelSet) else LabelSet(l) for l in labels
             )
             if len(labels) != self.words.shape[0]:
                 raise DimensionError("labels must align with code rows")
+            C = 1 + max((l.classes[-1] for l in labels), default=-1)
+            self.incidence = label_incidence(labels, C)
+            self.incidence.setflags(write=False)
+            self.single_label = all(len(l) == 1 for l in labels)
         self.labels = labels
         self.words.setflags(write=False)
         self.ids.setflags(write=False)
+        self.id_order.setflags(write=False)
 
     @classmethod
     def from_bits(cls, bits, ids, labels=None):
@@ -132,16 +145,21 @@ class QueryResult:
     clipped: bool
 
 
+def _rank(index, dists, k):
+    """Rows of the k nearest samples, by distance, then ascending id: a
+    stable sort of the distances taken in id order."""
+    return index.id_order[np.argsort(dists[index.id_order], kind="stable")[:k]]
+
+
 def query_topk(index, code, k):
     """The k indexed samples nearest to `code`, ties by ascending id."""
     if k < 1:
         raise ConfigurationError(f"k must be positive, got {k}")
-    clipped = k > index.N
-    k = min(k, index.N)
     dists = index.distances(code)
-    order = np.lexsort((index.ids, dists))[:k]
+    order = _rank(index, dists, k)
     return QueryResult(
-        ids=index.ids[order], distances=dists[order], clipped=clipped
+        ids=index.ids[order], distances=dists[order].astype(np.int64),
+        clipped=k > index.N,
     )
 
 
@@ -161,13 +179,6 @@ def average_precision(relevance, R_total):
     return float((precision * rel).sum() / denom)
 
 
-def _check_rule(rule):
-    if rule not in RELEVANCE_RULES:
-        raise ConfigurationError(
-            f"unknown relevance rule {rule!r}, expected one of {RELEVANCE_RULES}"
-        )
-
-
 def _require_labels(index, name):
     if index.labels is None:
         raise ConfigurationError(f"{name} index carries no labels")
@@ -175,26 +186,17 @@ def _require_labels(index, name):
 
 def relevance_mask(query_labels, gallery, rule):
     """Boolean relevance of every gallery sample to one query."""
-    _check_rule(rule)
-    _require_labels(gallery, "gallery")
-    if not isinstance(query_labels, LabelSet):
-        query_labels = LabelSet(query_labels)
-    if rule == SAME_CLASS:
-        sizes = {len(l) for l in gallery.labels} | {len(query_labels)}
-        if sizes != {1}:
-            raise LabelError("same-class rule requires single-label data")
-        q = query_labels.classes[0]
-        return np.fromiter(
-            (l.classes[0] == q for l in gallery.labels),
-            dtype=bool,
-            count=gallery.N,
+    if rule not in RELEVANCE_RULES:
+        raise ConfigurationError(
+            f"unknown relevance rule {rule!r}, expected one of {RELEVANCE_RULES}"
         )
-    qset = set(query_labels.classes)
-    return np.fromiter(
-        (not qset.isdisjoint(l.classes) for l in gallery.labels),
-        dtype=bool,
-        count=gallery.N,
-    )
+    _require_labels(gallery, "gallery")
+    query_labels = LabelSet(query_labels)
+    single = len(query_labels) == 1 and gallery.single_label
+    if rule == SAME_CLASS and not single:
+        raise LabelError("same-class rule requires single-label data")
+    C = gallery.incidence.shape[1]
+    return gallery.incidence[:, [c for c in query_labels if c < C]].any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -216,19 +218,22 @@ def _check_queries(queries, gallery):
         )
 
 
+def _scored(queries, gallery, rule):
+    """(distances, relevance) of every gallery sample, one query at a time."""
+    for i in range(queries.N):
+        rel_mask = relevance_mask(queries.labels[i], gallery, rule)
+        yield kernels.scan_distances(gallery.words, queries.words[i]), rel_mask
+
+
 def map_at_k(queries, gallery, k, rule):
     """Mean average precision at k of every query against the gallery."""
     _check_queries(queries, gallery)
     if k < 1:
         raise ConfigurationError(f"k must be positive, got {k}")
     aps = np.empty(queries.N, dtype=np.float64)
-    for i in range(queries.N):
-        rel_mask = relevance_mask(queries.labels[i], gallery, rule)
-        dists = kernels.scan_distances(gallery.words, queries.words[i])
-        order = np.lexsort((gallery.ids, dists))[: min(k, gallery.N)]
-        aps[i] = average_precision(
-            rel_mask[order].astype(np.uint8), int(rel_mask.sum())
-        )
+    for i, (dists, rel_mask) in enumerate(_scored(queries, gallery, rule)):
+        hits = rel_mask[_rank(gallery, dists, k)].astype(np.uint8)
+        aps[i] = average_precision(hits, int(rel_mask.sum()))
     return MapResult(map=float(aps.mean()), query_ids=queries.ids.copy(), aps=aps)
 
 
@@ -245,12 +250,10 @@ def pr_curve(queries, gallery, rule):
     precision_sum = np.zeros(B + 1, dtype=np.float64)
     recall_sum = np.zeros(B + 1, dtype=np.float64)
     counted = 0
-    for i in range(queries.N):
-        rel_mask = relevance_mask(queries.labels[i], gallery, rule)
+    for dists, rel_mask in _scored(queries, gallery, rule):
         R_total = int(rel_mask.sum())
         if R_total == 0:
             continue
-        dists = kernels.scan_distances(gallery.words, queries.words[i])
         retrieved = np.cumsum(np.bincount(dists, minlength=B + 1))
         hits = np.cumsum(np.bincount(dists[rel_mask], minlength=B + 1))
         precision = np.where(retrieved > 0, hits / np.maximum(retrieved, 1), 1.0)

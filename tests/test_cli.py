@@ -274,6 +274,20 @@ class TestExitCodes:
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_code_id(self, tmp_path, capsys):
+        gallery = tmp_path / "codes-gallery.txt"
+        gallery.write_text("0\t1010\n1\t0101\n0\t1111\n")
+        query = tmp_path / "codes-query.txt"
+        query.write_text("2\t1010\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("classes=2\n0\n1\n0\n")
+        assert main([
+            "eval-map", "--gallery-codes", str(gallery),
+            "--query-codes", str(query), "--labels", str(labels),
+            "--k", "2", "--out", str(tmp_path / "eval"),
+        ]) == 2
+        assert f"{gallery}:3: duplicate id 0" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == __version__

@@ -195,6 +195,14 @@ class TestCenters:
             read_centers(path)
         assert err.value.line == 1
 
+    def test_bad_character(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("B=4 C=3 epoch=0\n1010\n1210\n0101\n")
+        with pytest.raises(ParseError) as err:
+            read_centers(path)
+        assert err.value.line == 3
+        assert f"{path}:3: center line must be 4 chars of 0/1" == str(err.value)
+
 
 class TestCodes:
     def test_text_roundtrip(self, tmp_path):
@@ -224,6 +232,37 @@ class TestCodes:
         path.write_text("1 101\n")
         with pytest.raises(ParseError):
             read_codes_text(path)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1\t101\n2\t1x1\n3\t000\n", 2, "codeword must be 3 chars of 0/1"),
+        ("1\t101\n2\t10/\n", 2, "codeword must be 3 chars of 0/1"),
+        ("1\t101\nx\t101\n", 2, "bad id 'x'"),
+        ("1\t\n2\t101\n", 1, "empty codeword"),
+        ("", 1, "empty code file"),
+        ("3\t101\n1\t000\n3\t111\n", 3, "duplicate id 3"),
+    ], ids=["bad-char", "char-below-0", "bad-id", "empty-codeword",
+            "empty-file", "duplicate-id"])
+    def test_text_bad_line_named(self, tmp_path, text, line, message):
+        path = tmp_path / "codes.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_codes_text(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize("text, line", [
+        ("1\t101\n2\t121\n3 000\n", 2),  # bad bits before a missing tab
+        ("1\t101\n2\t101\nx\t121\n", 3),  # id and bits bad on one line
+        ("1\t101\n2\t10\n3\t1x1\n", 2),  # wrong length before bad bits
+        ("1\t101\n2\t1x1\n3\t10\n", 2),  # bad bits before wrong length
+        ("1\t101\n1\t1x1\n", 2),  # bad bits win over a repeated id
+    ])
+    def test_text_first_bad_line_reported(self, tmp_path, text, line):
+        path = tmp_path / "codes.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_codes_text(path)
+        assert err.value.line == line
 
     @pytest.mark.parametrize("B", [3, 64, 67, 128])
     def test_packed_roundtrip(self, tmp_path, B):

@@ -416,3 +416,125 @@ class TestPrCurve:
         q, g = width_mismatch_pair()
         with pytest.raises(DimensionError):
             pr_curve(q, g, "same-class")
+
+
+class TestBruteForceOracle:
+    """Ranking and relevance against a reference that uses neither the
+    index's id order nor its label table: `np.lexsort((ids, d))` and a
+    Python loop over every gallery label set."""
+
+    B = 10
+    K = 40
+
+    @staticmethod
+    def reference_relevance(query_labels, gallery_labels, rule):
+        if rule == "same-class":
+            return np.array([l[0] == query_labels[0] for l in gallery_labels])
+        q = set(query_labels)
+        return np.array([not q.isdisjoint(l) for l in gallery_labels])
+
+    def gallery(self, multi):
+        # 500 rows of 10 bits: every distance is shared by dozens of rows,
+        # so the top-k boundary always falls inside a tie. Ids are
+        # non-contiguous and stored shuffled; class 4 is never used.
+        rng = np.random.default_rng(77)
+        n = 500
+        bits = rng.integers(0, 2, size=(n, self.B), dtype=np.uint8)
+        ids = rng.choice(100_000, size=n, replace=False)
+        classes = np.array([0, 1, 2, 3, 5, 6])
+        labels = [
+            sorted(rng.choice(classes, size=rng.integers(1, 4) if multi else 1,
+                              replace=False).tolist())
+            for _ in range(n)
+        ]
+        return bits, ids, labels
+
+    def queries(self, multi):
+        rng = np.random.default_rng(78)
+        n = 30
+        bits = rng.integers(0, 2, size=(n, self.B), dtype=np.uint8)
+        # includes class 4 (carried by no gallery row) and 9 (above the
+        # gallery's largest class)
+        pool = np.array([0, 1, 2, 3, 4, 5, 6, 9])
+        labels = [
+            sorted(rng.choice(pool, size=rng.integers(1, 3) if multi else 1,
+                              replace=False).tolist())
+            for _ in range(n)
+        ]
+        labels[0], labels[1] = [4], [9]
+        return bits, np.arange(1000, 1000 + n), labels
+
+    def reference_distances(self, g_bits, q_bits):
+        return (q_bits[:, None, :] != g_bits[None, :, :]).sum(axis=2)
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_query_topk(self, multi):
+        g_bits, g_ids, g_labels = self.gallery(multi)
+        q_bits, _, _ = self.queries(multi)
+        index = PackedCodeIndex.from_bits(g_bits, g_ids, labels=g_labels)
+        for q, d in zip(q_bits, self.reference_distances(g_bits, q_bits)):
+            order = np.lexsort((g_ids, d))
+            assert d[order[self.K - 1]] == d[order[self.K]]  # tie at k
+            out = query_topk(index, q, self.K)
+            np.testing.assert_array_equal(out.ids, g_ids[order[:self.K]])
+            np.testing.assert_array_equal(out.distances, d[order[:self.K]])
+
+    @pytest.mark.parametrize("multi, rule", [
+        (False, "same-class"), (False, "share-any-label"),
+        (True, "share-any-label"),
+    ])
+    def test_relevance_map_and_pr(self, multi, rule):
+        g_bits, g_ids, g_labels = self.gallery(multi)
+        q_bits, q_ids, q_labels = self.queries(multi)
+        gallery = PackedCodeIndex.from_bits(g_bits, g_ids, labels=g_labels)
+        queries = PackedCodeIndex.from_bits(q_bits, q_ids, labels=q_labels)
+        dists = self.reference_distances(g_bits, q_bits)
+        aps = []
+        precision_sum = np.zeros(self.B + 1)
+        recall_sum = np.zeros(self.B + 1)
+        counted = 0
+        for labels, d in zip(q_labels, dists):
+            rel = self.reference_relevance(labels, g_labels, rule)
+            np.testing.assert_array_equal(
+                relevance_mask(labels, gallery, rule), rel
+            )
+            order = np.lexsort((g_ids, d))[:self.K]
+            aps.append(average_precision(rel[order], int(rel.sum())))
+            if not rel.any():
+                continue
+            retrieved = np.array([(d <= t).sum() for t in range(self.B + 1)])
+            hits = np.array([(rel & (d <= t)).sum() for t in range(self.B + 1)])
+            precision_sum += np.where(
+                retrieved > 0, hits / np.maximum(retrieved, 1), 1.0
+            )
+            recall_sum += hits / rel.sum()
+            counted += 1
+        out = map_at_k(queries, gallery, self.K, rule)
+        np.testing.assert_array_equal(out.aps, aps)
+        assert out.aps[0] == out.aps[1] == 0.0  # classes 4 and 9
+        _, recalls, precisions = pr_curve(queries, gallery, rule)
+        np.testing.assert_allclose(recalls, recall_sum / counted, rtol=1e-12)
+        np.testing.assert_allclose(
+            precisions, precision_sum / counted, rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("rule", ["same-class", "share-any-label"])
+    @pytest.mark.parametrize("classes", [[4], [9], [40]])
+    def test_absent_class_is_never_relevant(self, rule, classes):
+        g_bits, g_ids, g_labels = self.gallery(multi=False)
+        gallery = PackedCodeIndex.from_bits(g_bits, g_ids, labels=g_labels)
+        mask = relevance_mask(classes, gallery, rule)
+        assert mask.dtype == bool and mask.shape == (gallery.N,)
+        assert not mask.any()
+
+    def test_storage_order_ignored(self):
+        g_bits, g_ids, g_labels = self.gallery(multi=True)
+        q_bits, _, _ = self.queries(multi=True)
+        by_id = np.argsort(g_ids)
+        shuffled = PackedCodeIndex.from_bits(g_bits, g_ids)
+        ordered = PackedCodeIndex.from_bits(g_bits[by_id], g_ids[by_id])
+        for q in q_bits:
+            a = query_topk(shuffled, q, self.K)
+            b = query_topk(ordered, q, self.K)
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.distances, b.distances)
