@@ -44,6 +44,7 @@ from .network import (
     build_model,
     forward,
     learning_rate,
+    predict,
     sgd_step,
     train,
 )

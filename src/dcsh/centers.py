@@ -74,7 +74,7 @@ class HashCenterSet:
             raise DimensionError(f"centers must be 2-D, got ndim={raw.ndim}")
         if raw.shape[0] < 1 or raw.shape[1] < 1:
             raise DimensionError(f"empty center set of shape {raw.shape}")
-        if not np.isin(raw, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise DimensionError("center bits must be 0 or 1")
         A = np.ascontiguousarray(raw, dtype=np.uint8)
         A.setflags(write=False)
@@ -176,15 +176,15 @@ def assign_target(labels, centers, seed):
     return target
 
 
-def update_centers(hashes, labels, C, epoch=0, normalized=False):
+def update_centers(hashes, labels, C, epoch=0):
     """Recompute every class center from a full-pass matrix of hash outputs.
 
     Each row of `hashes` is mapped to [-1, 1] via f(x) = 2x - 1 and
     contributes with weight 1/|l_n| to every class in its label set.
-    The class mean divides by the group size |G_c|, not by the weight
-    sum, so multi-label samples count at reduced strength; pass
-    normalized=True for the convex-combination variant. Bits come from
-    thresholding at 0, with 0 itself mapping to 1.
+    The paper takes the class mean of those terms and thresholds it at
+    0, with 0 itself mapping to 1. Dividing by a positive count cannot
+    change a sign, so only the sign of the 1/|l_n|-weighted sum matters,
+    whatever the divisor: the group size |G_c| or the weight sum.
     """
     H = np.asarray(hashes, dtype=np.float64)
     if H.ndim != 2:
@@ -196,13 +196,9 @@ def update_centers(hashes, labels, C, epoch=0, normalized=False):
     if not np.all(np.isfinite(H)):
         raise DimensionError("hashes contain non-finite entries")
     Y = label_incidence(labels, C).astype(np.float64, order="C")
-    counts = np.count_nonzero(Y, axis=0)
+    missing = np.flatnonzero(~Y.any(axis=0))
+    if missing.size:
+        raise CoverageError(f"class {missing[0]} has no samples")
     W = Y / Y.sum(axis=1, keepdims=True)
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise CoverageError(f"class {missing} has no samples")
-    mapped = 2.0 * H - 1.0
-    sums = W.T @ mapped
-    denom = W.sum(axis=0) if normalized else counts.astype(np.float64)
-    means = sums / denom[:, None]
-    return HashCenterSet(codes=(means >= 0.0).astype(np.uint8), epoch=epoch)
+    sums = W.T @ (2.0 * H - 1.0)
+    return HashCenterSet(codes=(sums >= 0.0).astype(np.uint8), epoch=epoch)

@@ -34,7 +34,7 @@ from .network import (
     binarize,
     build_model,
     finite_difference_report,
-    forward,
+    predict,
     train,
 )
 from .retrieval import (
@@ -55,15 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _parse_bool(text):
-    lowered = str(text).strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigurationError(f"expected true/false, got {text!r}")
-
-
 def _parse_hidden(text):
     if isinstance(text, tuple):
         return text
@@ -77,8 +68,6 @@ def _parse_hidden(text):
 
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -121,16 +110,9 @@ def _build_parser():
             # file can supply them; _run checks for gaps after merging.
             if required_flag:
                 required[dest] = flag
-            if converter is _parse_bool:
-                parser.add_argument(
-                    flag, dest=dest, default=default, help=help,
-                    action=argparse.BooleanOptionalAction,
-                )
-            else:
-                parser.add_argument(
-                    flag, dest=dest, type=converter, default=default,
-                    help=help,
-                )
+            parser.add_argument(
+                flag, dest=dest, type=converter, default=default, help=help,
+            )
         return parser, opt
 
     _, opt = command("synth", "generate a synthetic dataset")
@@ -173,8 +155,6 @@ def _build_parser():
         help="extractor widths, comma separated")
     opt("--d-int", int, help="intermediate width, default max(4C, 128)")
     opt("--trials", int, default=100, help="Bernoulli trials when generating")
-    opt("--normalized-update", _parse_bool, default=False,
-        help="divide center means by the weight sum instead of |G_c|")
 
     _, opt = command("encode", "binarize a split to code files")
     opt("--model", str, required_flag=True)
@@ -300,7 +280,6 @@ def _cmd_train(args):
         alpha_mode=args.alpha_mode, alpha_override=args.alpha_override,
         reg=args.reg, clamp=args.clamp, momentum=args.momentum,
         seed=args.seed, hidden=args.hidden, d_int=args.d_int,
-        normalized_update=args.normalized_update,
     )
     if args.centers is not None:
         centers0 = formats.read_centers(args.centers)
@@ -326,7 +305,7 @@ def _cmd_train(args):
         ("features", "labels", "splits", "centers", "out", "bits", "batch",
          "lr", "lr_decay", "decay_every", "epochs", "alpha_mode",
          "alpha_override", "reg", "clamp", "momentum", "seed", "hidden",
-         "d_int", "trials", "normalized_update"),
+         "d_int", "trials"),
     )
     for epoch, train_loss, test_loss in curves:
         tail = "" if test_loss is None else f"  test {test_loss:.6f}"
@@ -348,7 +327,7 @@ def _cmd_encode(args):
     ids = split_indices(tags, args.split)
     if ids.shape[0] == 0:
         raise ConfigurationError(f"split {args.split!r} selects no samples")
-    x_h, _, _ = forward(model, X[ids])
+    x_h, _ = predict(model, X[ids])
     bits = binarize(x_h)
     os.makedirs(args.out, exist_ok=True)
     text_path = os.path.join(args.out, f"codes-{args.split}.txt")
@@ -363,9 +342,8 @@ def _cmd_encode(args):
     return 0
 
 
-def _load_index(code_path, label_path):
+def _load_index(code_path, labels):
     ids, bits = formats.read_codes_text(code_path)
-    labels, _ = formats.read_labels(label_path)
     if ids.max(initial=-1) >= len(labels) or ids.min(initial=0) < 0:
         raise ParseError(code_path, "code id outside the label file's range")
     return PackedCodeIndex.from_bits(
@@ -374,8 +352,9 @@ def _load_index(code_path, label_path):
 
 
 def _cmd_eval_map(args):
-    gallery = _load_index(args.gallery_codes, args.labels)
-    queries = _load_index(args.query_codes, args.labels)
+    labels, _ = formats.read_labels(args.labels)
+    gallery = _load_index(args.gallery_codes, labels)
+    queries = _load_index(args.query_codes, labels)
     result = map_at_k(queries, gallery, args.k, args.rule)
     os.makedirs(args.out, exist_ok=True)
     formats.write_map_csv(os.path.join(args.out, "map.csv"), args.k, result.map)
@@ -391,8 +370,9 @@ def _cmd_eval_map(args):
 
 
 def _cmd_eval_pr(args):
-    gallery = _load_index(args.gallery_codes, args.labels)
-    queries = _load_index(args.query_codes, args.labels)
+    labels, _ = formats.read_labels(args.labels)
+    gallery = _load_index(args.gallery_codes, labels)
+    queries = _load_index(args.query_codes, labels)
     thresholds, recalls, precisions = pr_curve(queries, gallery, args.rule)
     os.makedirs(args.out, exist_ok=True)
     formats.write_pr_csv(

@@ -114,6 +114,7 @@ def write_labels(path, labels, C):
 
 
 def read_labels(path):
+    """(label sets, C); repeated lines share one parsed LabelSet."""
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("classes="):
         raise ParseError(path, "missing classes=<C> header", line=1)
@@ -123,22 +124,24 @@ def read_labels(path):
         raise ParseError(path, f"bad class count {lines[0]!r}", line=1) from None
     if C < 1:
         raise ParseError(path, f"class count must be positive, got {C}", line=1)
+    seen = {}
     labels = []
     for ln, text in enumerate(lines[1:], start=2):
-        parts = text.split(",")
-        try:
-            indices = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(path, f"bad label line {text!r}", line=ln) from None
-        try:
-            ls = LabelSet(indices)
-        except LabelError as exc:
-            raise ParseError(path, str(exc), line=ln) from None
-        if ls.classes[-1] >= C:
-            raise ParseError(
-                path, f"class index {ls.classes[-1]} >= C={C}", line=ln
-            )
-        labels.append(ls)
+        if text not in seen:
+            try:
+                indices = [int(p) for p in text.split(",")]
+            except ValueError:
+                raise ParseError(path, f"bad label line {text!r}", line=ln) from None
+            try:
+                ls = LabelSet(indices)
+            except LabelError as exc:
+                raise ParseError(path, str(exc), line=ln) from None
+            if ls.classes[-1] >= C:
+                raise ParseError(
+                    path, f"class index {ls.classes[-1]} >= C={C}", line=ln
+                )
+            seen[text] = ls
+        labels.append(seen[text])
     return labels, C
 
 

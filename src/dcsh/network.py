@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import CcaViews, alpha, dccf_grad, dccf_loss, dcsh_loss, k_max
-from .centers import assign_target, update_centers
+from .centers import LabelSet, assign_target, update_centers
 from .data import multi_hot
 from .errors import (
     ConfigurationError,
@@ -24,6 +24,8 @@ from .errors import (
 from .numerics import DEFAULT_CLAMP, DEFAULT_REG, as_matrix, fd_gradient
 
 DEFAULT_HIDDEN = (256, 256)
+# Largest row block `predict` sends through `forward` at once.
+PREDICT_ROWS = 4096
 
 
 def _sigmoid(z):
@@ -113,10 +115,10 @@ def build_model(D, C, bits, hidden=DEFAULT_HIDDEN, d_int=None, seed=0):
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs and outputs retained for backward."""
+    """Activations retained for backward: the batch, then each layer's
+    output, so layer idx maps activations[idx] to activations[idx + 1]."""
 
-    inputs: list
-    outputs: list
+    activations: list
     version: int
 
 
@@ -127,16 +129,32 @@ def forward(model, batch):
         raise DimensionError(
             f"batch has {X.shape[1]} columns, model expects {model.D}"
         )
-    inputs = []
-    outputs = []
-    a = X
+    acts = [X]
     for idx, (W, b) in enumerate(model.layers):
-        inputs.append(a)
-        z = a @ W + b
-        a = _sigmoid(z) if model._is_sigmoid(idx) else np.maximum(z, 0.0)
-        outputs.append(a)
-    cache = ForwardCache(inputs=inputs, outputs=outputs, version=model.version)
-    return outputs[model.hash_index], outputs[-1], cache
+        z = acts[-1] @ W + b
+        acts.append(_sigmoid(z) if model._is_sigmoid(idx) else np.maximum(z, 0.0))
+    cache = ForwardCache(activations=acts, version=model.version)
+    return acts[model.hash_index + 1], acts[-1], cache
+
+
+def predict(model, X):
+    """(x_h, x_c) for every row of X, keeping no backward cache.
+
+    Rows go through `forward` in near-equal blocks of at most
+    PREDICT_ROWS, so memory is bounded by one block's activations.
+    Near-equal blocks matched one `forward` call byte for byte in tests;
+    a short tail block can take another BLAS path and move the last bits.
+    """
+    X = np.asarray(X)
+    N = X.shape[0]
+    x_h = np.empty((N, model.B))
+    x_c = np.empty((N, model.C))
+    start = 0
+    for block in np.array_split(X, max(1, -(-N // PREDICT_ROWS))):
+        stop = start + block.shape[0]
+        x_h[start:stop], x_c[start:stop], _ = forward(model, block)
+        start = stop
+    return x_h, x_c
 
 
 def backward(model, cache, grad_xh, grad_xc):
@@ -151,14 +169,15 @@ def backward(model, cache, grad_xh, grad_xc):
         )
     grad_xh = np.asarray(grad_xh, dtype=np.float64)
     grad_xc = np.asarray(grad_xc, dtype=np.float64)
-    if grad_xh.shape != cache.outputs[model.hash_index].shape:
+    acts = cache.activations
+    if grad_xh.shape != acts[model.hash_index + 1].shape:
         raise DimensionError(f"grad_xh shape {grad_xh.shape} mismatched")
-    if grad_xc.shape != cache.outputs[-1].shape:
+    if grad_xc.shape != acts[-1].shape:
         raise DimensionError(f"grad_xc shape {grad_xc.shape} mismatched")
     grads = [None] * len(model.layers)
     d = grad_xc
     for idx in range(len(model.layers) - 1, -1, -1):
-        out = cache.outputs[idx]
+        out = acts[idx + 1]
         if idx == model.hash_index:
             d = d + grad_xh
         if model._is_sigmoid(idx):
@@ -166,7 +185,7 @@ def backward(model, cache, grad_xh, grad_xc):
         else:
             dz = d * (out > 0.0)
         W = model.layers[idx][0]
-        grads[idx] = (cache.inputs[idx].T @ dz, dz.sum(axis=0))
+        grads[idx] = (acts[idx].T @ dz, dz.sum(axis=0))
         if idx:
             d = dz @ W.T
     return grads
@@ -233,7 +252,6 @@ class TrainConfig:
     seed: int = 0
     hidden: tuple = DEFAULT_HIDDEN
     d_int: int = None
-    normalized_update: bool = False
 
     def __post_init__(self):
         if self.bits < 2:
@@ -268,21 +286,18 @@ class TrainConfig:
             )
 
 
-def _target_matrix(labels, centers, seed):
-    return np.array(
-        [assign_target(ls, centers, seed) for ls in labels], dtype=np.float64
-    )
-
-
 def train(model, config, dataset, centers0):
     """Full training loop.
 
-    Per epoch: seeded shuffle, full batches only, targets Y_h rebuilt
-    from the current centers at every batch, loss/backward/SGD, then a
-    forward pass over the whole training split feeds the center update.
-    The query split, when large enough, provides a test loss computed
-    just before that update. Returns (model, center history, curves)
-    where curves rows are (epoch, train_loss, test_loss or None).
+    Targets depend only on a sample's label set and the centers, which
+    change once per epoch, so each epoch builds them once: one
+    `assign_target` call per distinct label set of the train and query
+    rows, gathered by row for every batch and for the test loss. Per
+    epoch: seeded shuffle, full batches only, loss/backward/SGD, then a
+    cache-free `predict` over the whole training split feeds the center
+    update. The query split, when large enough, provides a test loss
+    computed just before that update. Returns (model, center history,
+    curves) where curves rows are (epoch, train_loss, test_loss or None).
     """
     B, C = config.bits, dataset.C
     if model.B != B:
@@ -307,18 +322,21 @@ def train(model, config, dataset, centers0):
             f"training split of {train_idx.shape[0]} is smaller than one "
             f"batch of {M}"
         )
-    X_train = dataset.features[train_idx]
-    labels_train = [dataset.labels[int(i)] for i in train_idx]
-    Y_c_train = multi_hot(labels_train, C)
-    missing = np.flatnonzero(~Y_c_train.any(axis=0))
-    if missing.size:
-        raise CoverageError(f"class {missing[0]} has no training samples")
     query_idx = dataset.query_indices
     has_test = query_idx.shape[0] > max(B, C)
+    n_train = train_idx.shape[0]
+    rows = np.concatenate([train_idx, query_idx]) if has_test else train_idx
+    labels = [dataset.labels[int(i)] for i in rows]
+    Y_c_all = multi_hot(labels, C)
+    missing = np.flatnonzero(~Y_c_all[:n_train].any(axis=0))
+    if missing.size:
+        raise CoverageError(f"class {missing[0]} has no training samples")
+    distinct, row_set = np.unique(Y_c_all, axis=0, return_inverse=True)
+    row_set = row_set.ravel()
+    label_sets = [LabelSet(np.flatnonzero(y)) for y in distinct]
+    X_train = dataset.features[train_idx]
     if has_test:
         X_test = dataset.features[query_idx]
-        labels_test = [dataset.labels[int(i)] for i in query_idx]
-        Y_c_test = multi_hot(labels_test, C)
     if config.alpha_override is not None:
         alpha_value = config.alpha_override
     else:
@@ -326,23 +344,25 @@ def train(model, config, dataset, centers0):
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([int(config.seed), 1])
     )
-    n_batches = train_idx.shape[0] // M
+    n_batches = n_train // M
     centers = centers0
     history = [centers0]
     curves = []
     velocity = None
     for epoch in range(config.epochs):
         lr = learning_rate(config.lr, config.lr_decay, config.decay_every, epoch)
-        perm = shuffle_rng.permutation(train_idx.shape[0])
+        targets = np.array(
+            [assign_target(ls, centers, config.seed) for ls in label_sets],
+            dtype=np.float64,
+        )
+        perm = shuffle_rng.permutation(n_train)
         batch_losses = []
         for bi in range(n_batches):
             sel = perm[bi * M:(bi + 1) * M]
-            batch_labels = [labels_train[int(i)] for i in sel]
-            Y_h = _target_matrix(batch_labels, centers, config.seed)
-            Y_c = Y_c_train[sel]
             x_h, x_c, cache = forward(model, X_train[sel])
             loss, g_xh, g_xc = dcsh_loss(
-                x_h, Y_h, x_c, Y_c, alpha_value, config.reg, config.clamp
+                x_h, targets[row_set[sel]], x_c, Y_c_all[sel], alpha_value,
+                config.reg, config.clamp,
             )
             if not np.isfinite(loss):
                 raise NumericError(
@@ -357,16 +377,14 @@ def train(model, config, dataset, centers0):
         train_loss = float(np.mean(batch_losses))
         test_loss = None
         if has_test:
-            x_h_t, x_c_t, _ = forward(model, X_test)
-            Y_h_t = _target_matrix(labels_test, centers, config.seed)
+            x_h_t, x_c_t = predict(model, X_test)
             test_loss, _, _ = dcsh_loss(
-                x_h_t, Y_h_t, x_c_t, Y_c_test, alpha_value,
-                config.reg, config.clamp,
+                x_h_t, targets[row_set[n_train:]], x_c_t, Y_c_all[n_train:],
+                alpha_value, config.reg, config.clamp,
             )
-        x_h_full, _, _ = forward(model, X_train)
+        x_h_full, _ = predict(model, X_train)
         centers = update_centers(
-            x_h_full, labels_train, C,
-            epoch=epoch + 1, normalized=config.normalized_update,
+            x_h_full, labels[:n_train], C, epoch=epoch + 1
         )
         history.append(centers)
         curves.append((epoch, train_loss, test_loss))

@@ -30,7 +30,7 @@ def _as_bits(code, name="code"):
     A = np.asarray(code)
     if A.ndim != 1 or A.shape[0] < 1:
         raise DimensionError(f"{name} must be a non-empty bit vector")
-    if not np.isin(A, (0, 1)).all():
+    if not ((A == 0) | (A == 1)).all():
         raise DimensionError(f"{name} entries must be 0 or 1")
     return A.astype(np.uint8)
 
@@ -40,7 +40,7 @@ def pack_codes(bits):
     A = np.asarray(bits)
     if A.ndim != 2 or A.shape[1] < 1:
         raise DimensionError(f"expected N x B bit matrix, got shape {A.shape}")
-    if not np.isin(A, (0, 1)).all():
+    if not ((A == 0) | (A == 1)).all():
         raise DimensionError("code bits must be 0 or 1")
     A = np.ascontiguousarray(A, dtype=np.uint8)
     n_words = (A.shape[1] + 63) // 64
@@ -168,7 +168,7 @@ def average_precision(relevance, R_total):
     rel = np.asarray(relevance, dtype=np.float64)
     if rel.ndim != 1 or rel.shape[0] < 1:
         raise DimensionError("relevance must be a non-empty vector")
-    if not np.isin(rel, (0, 1)).all():
+    if not ((rel == 0) | (rel == 1)).all():
         raise DimensionError("relevance entries must be 0 or 1")
     if R_total < 0:
         raise ConfigurationError(f"R_total must be >= 0, got {R_total}")

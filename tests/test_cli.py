@@ -166,6 +166,37 @@ class TestConfigMerge:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    def test_retired_normalized_update_key(self, pipeline, tmp_path, capsys):
+        # Train manifests written before the key was removed carry it.
+        manifest = (pipeline / "run" / "manifest-train.txt").read_text()
+        assert "normalized_update" not in manifest
+        cfg = tmp_path / "old-manifest.txt"
+        cfg.write_text(manifest + "normalized_update=false\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "'normalized_update'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-map", "eval-pr"])
+    def test_eval_reads_labels_once(self, pipeline, tmp_path, monkeypatch,
+                                    command):
+        calls = []
+        read = formats.read_labels
+
+        def counting(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(formats, "read_labels", counting)
+        enc = pipeline / "enc"
+        assert main([
+            command, "--gallery-codes", str(enc / "codes-gallery.txt"),
+            "--query-codes", str(enc / "codes-query.txt"),
+            "--labels", str(pipeline / "data" / "labels.txt"),
+            "--out", str(tmp_path),
+        ]) == 0
+        assert len(calls) == 1
+
     def test_manifest_command_key_ignored(self, pipeline, tmp_path):
         # manifests include command= and version=; the loader must skip them
         cfg = tmp_path / "cfg.txt"

@@ -117,6 +117,21 @@ class TestLabels:
             read_labels(path)
         assert err.value.line == 2
 
+    def test_repeated_lines_share_one_label_set(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("classes=3\n2,0\n1\n2,0\n1\n")
+        labels, _ = read_labels(path)
+        assert [l.classes for l in labels] == [(0, 2), (1,), (0, 2), (1,)]
+        assert labels[0] is labels[2] and labels[1] is labels[3]
+
+    def test_bad_line_after_repeated_good_lines(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("classes=3\n" + "0,1\n2\n" * 4 + "0,3\n2\n")
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert err.value.line == 10
+        assert str(err.value) == f"{path}:10: class index 3 >= C=3"
+
 
 class TestSplit:
     def test_roundtrip(self, tmp_path):

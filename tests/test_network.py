@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from dcsh.cca import CcaViews, dccf_grad, dccf_loss, dcsh_lower_bound, k_max
-from dcsh.centers import gen_hadamard_centers, update_centers
+from dcsh import network
+from dcsh.cca import (
+    CcaViews,
+    dccf_grad,
+    dccf_loss,
+    dcsh_loss,
+    dcsh_lower_bound,
+    k_max,
+)
+from dcsh.centers import assign_target, gen_hadamard_centers, update_centers
 from dcsh.data import gen_synthetic, multi_hot
 from dcsh.errors import (
     ConfigurationError,
@@ -11,6 +19,7 @@ from dcsh.errors import (
     StaleCacheError,
 )
 from dcsh.network import (
+    PREDICT_ROWS,
     DcshModel,
     TrainConfig,
     backward,
@@ -19,6 +28,7 @@ from dcsh.network import (
     finite_difference_report,
     forward,
     learning_rate,
+    predict,
     sgd_step,
     train,
 )
@@ -124,6 +134,39 @@ class TestForward:
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionError):
             forward(tiny_model(), np.ones((3, 5)))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 8195])
+    def test_matches_forward_byte_for_byte(self, N):
+        model = build_model(D=32, C=10, bits=32, seed=4)
+        X = np.random.default_rng(N).standard_normal((N, 32))
+        x_h, x_c, _ = forward(model, X)
+        p_h, p_c = predict(model, X)
+        assert p_h.tobytes() == x_h.tobytes()
+        assert p_c.tobytes() == x_c.tobytes()
+
+    @pytest.mark.parametrize("N, sizes", [
+        (1, [1]),
+        (PREDICT_ROWS, [PREDICT_ROWS]),
+        (PREDICT_ROWS + 1, [2049, 2048]),
+        (2 * PREDICT_ROWS + 3, [2732, 2732, 2731]),
+    ])
+    def test_near_equal_blocks(self, monkeypatch, N, sizes):
+        seen = []
+
+        def recording(model, batch):
+            seen.append(batch.shape[0])
+            return forward(model, batch)
+
+        monkeypatch.setattr(network, "forward", recording)
+        x_h, x_c = predict(tiny_model(), np.zeros((N, 6)))
+        assert seen == sizes
+        assert x_h.shape == (N, 4) and x_c.shape == (N, 3)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(DimensionError):
+            predict(tiny_model(), np.ones((3, 5)))
 
 
 class TestBackward:
@@ -379,6 +422,53 @@ class TestTrain:
             np.testing.assert_array_equal(W1, W2)
             np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(history[-1].codes, centers.codes)
+
+    def test_one_target_vote_per_label_set_and_epoch(self, monkeypatch):
+        # Two-label sets over Hadamard centers tie on half their bits.
+        dataset = gen_synthetic(N=300, D=8, C=4, multilabel_p=0.5, seed=5,
+                                query_frac=0.2)
+        rows = np.concatenate([dataset.train_indices, dataset.query_indices])
+        sets = {dataset.labels[int(i)].classes for i in rows}
+        assert any(len(s) == 2 for s in sets)
+        epochs = 3
+        config = TrainConfig(bits=8, epochs=epochs, batch_size=40, lr=1e-3,
+                             hidden=(16,), d_int=20, seed=5)
+        model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=5)
+        votes = []
+        last_batch = []
+        losses = []
+
+        def counting_target(labels, centers, seed):
+            votes.append((labels.classes, centers.epoch))
+            return assign_target(labels, centers, seed)
+
+        def recording_forward(model, batch):
+            last_batch[:] = [batch]
+            return forward(model, batch)
+
+        def recording_loss(x_h, Y_h, *args):
+            losses.append((last_batch[0], np.array(Y_h), votes[-1][1]))
+            return dcsh_loss(x_h, Y_h, *args)
+
+        monkeypatch.setattr(network, "assign_target", counting_target)
+        monkeypatch.setattr(network, "forward", recording_forward)
+        monkeypatch.setattr(network, "dcsh_loss", recording_loss)
+        _, history, _ = train(model, config, dataset,
+                              gen_hadamard_centers(8, 4))
+        assert len(votes) == len(sets) * epochs
+        for epoch in range(epochs):
+            assert sorted(s for s, e in votes if e == epoch) == sorted(sets)
+        # Every batch and test-loss target row equals a per-sample vote.
+        row_of = {x.tobytes(): n for n, x in enumerate(dataset.features)}
+        n_batches = dataset.train_indices.shape[0] // 40
+        assert len(losses) == epochs * (n_batches + 1)
+        for batch, Y_h, epoch in losses:
+            want = np.array([
+                assign_target(dataset.labels[row_of[x.tobytes()]],
+                              history[epoch], config.seed)
+                for x in batch
+            ], dtype=np.float64)
+            np.testing.assert_array_equal(Y_h, want)
 
     def test_bits_mismatch_rejected(self):
         dataset = gen_synthetic(N=120, D=8, C=4, seed=0)

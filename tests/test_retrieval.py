@@ -59,8 +59,9 @@ class TestPacking:
         assert np.all(words[:, 1] == np.uint64(0b111))
 
     def test_non_binary_rejected(self):
-        with pytest.raises(DimensionError):
-            pack_codes(np.array([[0, 2]]))
+        for bad in ([[0, 2]], [[0.0, 1.0, 0.5]], [[0.0, 1.0, np.nan]]):
+            with pytest.raises(DimensionError):
+                pack_codes(np.array(bad))
 
     def test_wrong_word_count_rejected(self):
         with pytest.raises(DimensionError):
@@ -162,6 +163,11 @@ class TestQueryTopk:
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigurationError):
             query_topk(self.gallery(), [0, 0, 0], 0)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+    def test_non_binary_query_rejected(self, bad):
+        with pytest.raises(DimensionError):
+            query_topk(self.gallery(), [0.0, 1.0, bad], 3)
 
 
 class TestAveragePrecision:
