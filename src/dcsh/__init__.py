@@ -8,11 +8,8 @@ The public surface re-exports the main types and operations; the
 __version__ = "0.1.0"
 
 from .cca import (
-    CcaViews,
-    DccfResult,
     alpha,
-    dccf_grad,
-    dccf_loss,
+    cca_loss,
     dcsh_lower_bound,
     dcsh_loss,
     k_max,

@@ -7,65 +7,23 @@ of the k largest singular values of
 
     K = Sigma_XX^{-1/2} @ Sigma_XY @ Sigma_YY^{-1/2}
 
-computed on column-centered views with regularized autocovariances.
+computed on column-centered views; a ridge reg is added to Sigma_XX
+and Sigma_YY, not to Sigma_XY.
 Each singular value is a canonical correlation in [0, 1], so the loss
 lives in [-k, 0]. The gradient is taken with respect to X only; the
 target view is constant within a batch.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import (
     DEFAULT_CLAMP,
     DEFAULT_REG,
     as_matrix,
-    autocovariance,
-    center_columns,
-    covariance,
     inv_sqrt_sym,
     thin_svd,
 )
-
-
-@dataclass(frozen=True)
-class CcaViews:
-    """A pair of same-batch views. X is trainable, Y is the target."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    reg: float = DEFAULT_REG
-
-    def __post_init__(self):
-        X = as_matrix(self.X, "X")
-        Y = as_matrix(self.Y, "Y")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        if X.shape[0] != Y.shape[0]:
-            raise DimensionError(
-                f"views disagree on batch size: {X.shape[0]} vs {Y.shape[0]}"
-            )
-        M = X.shape[0]
-        if M <= X.shape[1] or M <= Y.shape[1]:
-            raise ConfigurationError(
-                f"batch of {M} must exceed both view dimensions "
-                f"({X.shape[1]} and {Y.shape[1]})"
-            )
-
-    @property
-    def M(self):
-        return self.X.shape[0]
-
-
-@dataclass
-class DccfResult:
-    """Loss value plus the factors needed to evaluate the gradient."""
-
-    loss: float
-    correlations: np.ndarray
-    cache: dict = field(repr=False, default=None)
 
 
 def k_max(d_x, d_y, M):
@@ -83,52 +41,60 @@ def k_max(d_x, d_y, M):
     return k
 
 
-def dccf_loss(views, k, clamp=DEFAULT_CLAMP):
-    """Negative sum of the top-k canonical correlations of the views."""
-    limit = k_max(views.X.shape[1], views.Y.shape[1], views.M)
+def cca_loss(X, Y, k, reg=DEFAULT_REG, clamp=DEFAULT_CLAMP):
+    """One correlation term: (loss, top-k correlations, d(loss)/dX).
+
+    X (M x d_x) is the trainable view and Y (M x d_y) the target; the
+    batch M must exceed both widths, and k lies in [1, k_max].
+    """
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
+    if X.shape[0] != Y.shape[0]:
+        raise DimensionError(
+            f"views disagree on batch size: {X.shape[0]} vs {Y.shape[0]}"
+        )
+    M = X.shape[0]
+    if M <= X.shape[1] or M <= Y.shape[1]:
+        raise ConfigurationError(
+            f"batch of {M} must exceed both view dimensions "
+            f"({X.shape[1]} and {Y.shape[1]})"
+        )
+    limit = k_max(X.shape[1], Y.shape[1], M)
     if not 1 <= k <= limit:
         raise ConfigurationError(f"k={k} outside valid range [1, {limit}]")
-    Xc = center_columns(views.X)
-    Yc = center_columns(views.Y)
-    Sxx_isqrt = inv_sqrt_sym(autocovariance(Xc, views.reg), clamp)
-    Syy_isqrt = inv_sqrt_sym(autocovariance(Yc, views.reg), clamp)
-    K = Sxx_isqrt @ covariance(Xc, Yc) @ Syy_isqrt
-    U, sigma, V = thin_svd(K)
-    top = sigma[:k]
-    cache = {
-        "Xc": Xc,
-        "Yc": Yc,
-        "Sxx_isqrt": Sxx_isqrt,
-        "Syy_isqrt": Syy_isqrt,
-        "U": U,
-        "V": V,
-        "sigma": sigma,
-        "k": k,
-        "M": views.M,
-    }
-    return DccfResult(loss=-float(top.sum()), correlations=top, cache=cache)
+    return _cca(X, Y, k, reg, clamp)
 
 
-def dccf_grad(result):
-    """d(loss)/dX from a DccfResult's cache, shape M x d_x.
+def _cca(X, Y, k, reg, clamp):
+    """cca_loss on views its caller has validated.
 
-    Chain rule through K's SVD; directions beyond the top k are
-    excluded, which matches the loss exactly and stays well defined
-    under ties because a tied block's sum is rotation invariant.
+    The gradient takes the chain rule through K's SVD; directions
+    beyond the top k are excluded, which matches the loss exactly and
+    stays well defined under ties because a tied block's sum is
+    rotation invariant.
     """
-    c = result.cache
-    if c is None:
-        raise ConfigurationError("result carries no gradient cache")
-    k = c["k"]
-    Uk = c["U"][:, :k]
-    Vk = c["V"][:, :k]
-    Sk = c["sigma"][:k]
-    Sxx_isqrt = c["Sxx_isqrt"]
+    if reg < 0:
+        raise NumericError(f"reg must be non-negative, got {reg}")
+    M = X.shape[0]
+    Xc = X - X.mean(axis=0, keepdims=True)
+    Yc = Y - Y.mean(axis=0, keepdims=True)
+    Sxx = Xc.T @ Xc / (M - 1)
+    Syy = Yc.T @ Yc / (M - 1)
+    if reg > 0:
+        Sxx = Sxx + reg * np.eye(X.shape[1])
+        Syy = Syy + reg * np.eye(Y.shape[1])
+    Sxx_isqrt = inv_sqrt_sym(Sxx, clamp)
+    Syy_isqrt = inv_sqrt_sym(Syy, clamp)
+    K = Sxx_isqrt @ (Xc.T @ Yc / (M - 1)) @ Syy_isqrt
+    U, sigma, V = thin_svd(K)
+    Uk = U[:, :k]
+    Vk = V[:, :k]
+    top = sigma[:k]
     # Gradients of the correlation sum w.r.t. Sigma_XY and Sigma_XX.
-    d12 = Sxx_isqrt @ Uk @ Vk.T @ c["Syy_isqrt"]
-    d11 = -0.5 * Sxx_isqrt @ (Uk * Sk) @ Uk.T @ Sxx_isqrt
-    corr_grad = (2.0 * c["Xc"] @ d11 + c["Yc"] @ d12.T) / (c["M"] - 1)
-    return -corr_grad
+    d12 = Sxx_isqrt @ Uk @ Vk.T @ Syy_isqrt
+    d11 = -0.5 * Sxx_isqrt @ (Uk * top) @ Uk.T @ Sxx_isqrt
+    corr_grad = (2.0 * Xc @ d11 + Yc @ d12.T) / (M - 1)
+    return -float(top.sum()), top, -corr_grad
 
 
 def alpha(B, C, mode):
@@ -154,15 +120,15 @@ def dcsh_lower_bound(B, C):
 
 
 def dcsh_loss(X_h, Y_h, X_c, Y_c, alpha_value, reg=DEFAULT_REG,
-              clamp=DEFAULT_CLAMP, k_hash=None, k_class=None):
+              clamp=DEFAULT_CLAMP):
     """Combined loss: hashing correlation plus alpha times the
     classification correlation.
 
     X_h, Y_h are M x B hash outputs and target codewords; X_c, Y_c are
-    M x C classification scores and multi-hot labels. k for each term
-    defaults to its rank bound: min(B, C) - 1 for the hash term, since
-    the target rows come from at most C distinct centers, and C - 1 for
-    the classification term.
+    M x C classification scores and multi-hot labels. Each term takes k
+    at its rank bound: min(B, C) - 1 for the hash term, since the
+    target rows come from at most C distinct centers, and C - 1 for the
+    classification term.
 
     Returns (loss, grad_Xh, grad_Xc) with the alpha scaling already
     applied to grad_Xc.
@@ -185,13 +151,7 @@ def dcsh_loss(X_h, Y_h, X_c, Y_c, alpha_value, reg=DEFAULT_REG,
         raise ConfigurationError(f"batch too small: M={M} must exceed B={B}")
     if M <= C:
         raise ConfigurationError(f"batch too small: M={M} must exceed C={C}")
-    if k_hash is None:
-        k_hash = k_max(B, C, M)
-    if k_class is None:
-        k_class = k_max(C, C, M)
-    hash_term = dccf_loss(CcaViews(X_h, Y_h, reg), k_hash, clamp)
-    class_term = dccf_loss(CcaViews(X_c, Y_c, reg), k_class, clamp)
-    loss = hash_term.loss + alpha_value * class_term.loss
-    grad_Xh = dccf_grad(hash_term)
-    grad_Xc = alpha_value * dccf_grad(class_term)
-    return loss, grad_Xh, grad_Xc
+    hash_loss, _, grad_Xh = _cca(X_h, Y_h, k_max(B, C, M), reg, clamp)
+    class_loss, _, grad_Xc = _cca(X_c, Y_c, k_max(C, C, M), reg, clamp)
+    loss = hash_loss + alpha_value * class_loss
+    return loss, grad_Xh, alpha_value * grad_Xc

@@ -75,15 +75,17 @@ def _format_value(value):
     return str(value)
 
 
-def _write_manifest(out_dir, command, args, dests):
-    mapping = {"command": command, "version": __version__}
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is None:
+def _write_manifest(out_dir, args):
+    """manifest-<command>.txt: every option of the subcommand that is
+    not None. The parsed namespace holds exactly the subcommand's own
+    options, plus `command` and `config`."""
+    mapping = {"command": args.command, "version": __version__}
+    for dest, value in vars(args).items():
+        if dest in ("command", "config") or value is None:
             continue
         mapping[dest] = _format_value(value)
     formats.write_manifest(
-        os.path.join(out_dir, f"manifest-{command}.txt"), mapping
+        os.path.join(out_dir, f"manifest-{args.command}.txt"), mapping
     )
 
 
@@ -238,11 +240,7 @@ def _cmd_synth(args):
         os.path.join(args.out, "labels.txt"),
         os.path.join(args.out, "splits.txt"),
     )
-    _write_manifest(
-        args.out, "synth", args,
-        ("n", "dim", "classes", "separation", "multilabel_p",
-         "query_frac", "seed", "out"),
-    )
+    _write_manifest(args.out, args)
     print(
         f"wrote {dataset.N} samples ({len(dataset.query_indices)} query, "
         f"{len(dataset.gallery_indices)} gallery) to {args.out}"
@@ -261,10 +259,7 @@ def _cmd_gen_centers(args):
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     formats.write_centers(args.out, centers)
-    _write_manifest(
-        out_dir, "gen-centers", args,
-        ("bits", "classes", "seed", "trials", "out"),
-    )
+    _write_manifest(out_dir, args)
     spread = (
         min_pairwise_distance(centers) if centers.C > 1 else centers.B
     )
@@ -300,13 +295,7 @@ def _cmd_train(args):
             centers,
         )
     formats.write_loss_csv(os.path.join(args.out, "loss.csv"), curves)
-    _write_manifest(
-        args.out, "train", args,
-        ("features", "labels", "splits", "centers", "out", "bits", "batch",
-         "lr", "lr_decay", "decay_every", "epochs", "alpha_mode",
-         "alpha_override", "reg", "clamp", "momentum", "seed", "hidden",
-         "d_int", "trials"),
-    )
+    _write_manifest(args.out, args)
     for epoch, train_loss, test_loss in curves:
         tail = "" if test_loss is None else f"  test {test_loss:.6f}"
         print(f"epoch {epoch:3d}  train {train_loss:.6f}{tail}")
@@ -334,10 +323,7 @@ def _cmd_encode(args):
     packed_path = os.path.join(args.out, f"codes-{args.split}.bin")
     formats.write_codes_text(text_path, ids, bits)
     formats.write_codes_packed(packed_path, pack_codes(bits), model.B)
-    _write_manifest(
-        args.out, "encode", args,
-        ("model", "features", "splits", "split", "out"),
-    )
+    _write_manifest(args.out, args)
     print(f"encoded {ids.shape[0]} samples at {model.B} bits -> {text_path}")
     return 0
 
@@ -361,10 +347,7 @@ def _cmd_eval_map(args):
     formats.write_ap_csv(
         os.path.join(args.out, "ap.csv"), result.query_ids, result.aps
     )
-    _write_manifest(
-        args.out, "eval-map", args,
-        ("gallery_codes", "query_codes", "labels", "k", "rule", "out"),
-    )
+    _write_manifest(args.out, args)
     print(f"MAP@{args.k} = {result.map:.6f} over {queries.N} queries")
     return 0
 
@@ -378,10 +361,7 @@ def _cmd_eval_pr(args):
     formats.write_pr_csv(
         os.path.join(args.out, "pr.csv"), thresholds, recalls, precisions
     )
-    _write_manifest(
-        args.out, "eval-pr", args,
-        ("gallery_codes", "query_codes", "labels", "rule", "out"),
-    )
+    _write_manifest(args.out, args)
     print(f"wrote {len(thresholds)} PR points to {args.out}")
     return 0
 

@@ -6,6 +6,7 @@ raises ParseError naming the file and, where it applies, the line.
 All writers round-trip bit-exactly through their readers.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -86,21 +87,24 @@ def write_features(path, X):
 
 
 def read_features(path):
-    blob = _read_bytes(path)
-    off = _check_header(path, blob, FEATURE_MAGIC)
-    if len(blob) < off + 12:
-        raise ParseError(path, "truncated feature header")
-    N, D = struct.unpack_from("<QI", blob, off)
-    off += 12
-    expected = N * D * 8
-    if len(blob) - off != expected:
-        raise ParseError(
-            path,
-            f"payload is {len(blob) - off} bytes, expected {expected} "
-            f"for {N} x {D} float64",
-        )
-    X = np.frombuffer(blob, dtype="<f8", count=N * D, offset=off)
-    X = X.astype(np.float64).reshape(N, D)
+    """N x D float64 features, read straight from the file past the
+    24-byte header, with no second copy of the payload."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(FEATURE_MAGIC) + 16)
+        off = _check_header(path, head, FEATURE_MAGIC)
+        if len(head) < off + 12:
+            raise ParseError(path, "truncated feature header")
+        N, D = struct.unpack_from("<QI", head, off)
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        expected = N * D * 8
+        if size != expected:
+            raise ParseError(
+                path,
+                f"payload is {size} bytes, expected {expected} "
+                f"for {N} x {D} float64",
+            )
+        X = np.fromfile(fh, dtype="<f8", count=N * D)
+    X = X.astype(np.float64, copy=False).reshape(N, D)
     if not np.all(np.isfinite(X)):
         raise ParseError(path, "non-finite feature values")
     return X

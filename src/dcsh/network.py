@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import CcaViews, alpha, dccf_grad, dccf_loss, dcsh_loss, k_max
+from .cca import alpha, cca_loss, dcsh_loss, k_max
 from .centers import LabelSet, assign_target, update_centers
 from .data import multi_hot
 from .errors import (
@@ -284,6 +284,10 @@ class TrainConfig:
             raise ConfigurationError(
                 f"alpha override must be >= 0, got {self.alpha_override}"
             )
+        if self.reg < 0:
+            raise ConfigurationError(f"reg must be >= 0, got {self.reg}")
+        if self.clamp <= 0:
+            raise ConfigurationError(f"clamp must be > 0, got {self.clamp}")
 
 
 def train(model, config, dataset, centers0):
@@ -406,9 +410,9 @@ def finite_difference_report(seed=1, h=1e-5):
     X = rng.standard_normal((12, 3))
     Y = rng.standard_normal((12, 3))
     k = k_max(3, 3, 12)
-    res = dccf_loss(CcaViews(X, Y), k)
-    fd = fd_gradient(lambda A: dccf_loss(CcaViews(A, Y), k).loss, X, h)
-    rows.append(("dccf_grad 12x3", rel_err(dccf_grad(res), fd)))
+    _, _, grad = cca_loss(X, Y, k)
+    fd = fd_gradient(lambda A: cca_loss(A, Y, k)[0], X, h)
+    rows.append(("cca_loss grad 12x3", rel_err(grad, fd)))
 
     X_h = rng.standard_normal((20, 4))
     Y_h = rng.standard_normal((20, 4))

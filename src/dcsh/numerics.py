@@ -1,8 +1,11 @@
-"""Dense float64 linear algebra helpers for the loss and network modules.
+"""Dense float64 helpers for the loss and network modules: input
+validation, the symmetric inverse square root, the thin SVD and the
+finite-difference oracle.
 
 Everything here is a pure function of its inputs. Matrices are numpy
-arrays with rows as samples and columns as dimensions; all exported
-operations validate shapes and return finite float64 results.
+arrays with rows as samples and columns as dimensions; every function
+validates its input and returns finite float64 results. Centering and
+the covariances live inside `cca`, on views validated once there.
 """
 
 import numpy as np
@@ -24,41 +27,6 @@ def as_matrix(X, name="matrix"):
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{name} contains non-finite entries")
     return A
-
-
-def center_columns(X):
-    """Subtract each column's mean. Requires at least 2 rows."""
-    A = as_matrix(X, "X")
-    if A.shape[0] < 2:
-        raise DimensionError(f"need at least 2 rows to center, got {A.shape[0]}")
-    return A - A.mean(axis=0, keepdims=True)
-
-
-def autocovariance(Xc, reg):
-    """Covariance of a column-centered view with itself, divisor M-1,
-    with reg added to the diagonal."""
-    A = as_matrix(Xc, "Xc")
-    if A.shape[0] < 2:
-        raise DimensionError("covariance needs at least 2 rows")
-    if reg < 0:
-        raise NumericError(f"reg must be non-negative, got {reg}")
-    S = A.T @ A / (A.shape[0] - 1)
-    if reg > 0:
-        S = S + reg * np.eye(A.shape[1])
-    return S
-
-
-def covariance(Xc, Yc):
-    """Cross-covariance of two column-centered views, divisor M-1."""
-    A = as_matrix(Xc, "Xc")
-    B = as_matrix(Yc, "Yc")
-    if A.shape[0] != B.shape[0]:
-        raise DimensionError(
-            f"row counts differ: {A.shape[0]} vs {B.shape[0]}"
-        )
-    if A.shape[0] < 2:
-        raise DimensionError("covariance needs at least 2 rows")
-    return A.T @ B / (A.shape[0] - 1)
 
 
 def inv_sqrt_sym(S, clamp=DEFAULT_CLAMP):

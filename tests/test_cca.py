@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from dcsh.cca import (
-    CcaViews,
-    alpha,
-    dccf_grad,
-    dccf_loss,
-    dcsh_lower_bound,
-    dcsh_loss,
-    k_max,
-)
-from dcsh.errors import ConfigurationError
+from dcsh.cca import alpha, cca_loss, dcsh_loss, dcsh_lower_bound, k_max
+from dcsh.centers import gen_bernoulli_centers, gen_hadamard_centers
+from dcsh.errors import ConfigurationError, DimensionError, NumericError
 from dcsh.numerics import fd_gradient
 
 
@@ -46,20 +39,22 @@ class TestKMax:
             k_max(1, 5, 10)
 
 
+# TestDccfLoss and TestDccfGrad test one correlation term (the DCCA loss
+# of Andrew et al., 2013) through `cca_loss`.
 class TestDccfLoss:
     def test_identical_views_reach_minus_k(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 3))
-        res = dccf_loss(CcaViews(X, X, reg=0.0), 2)
-        assert abs(res.loss - (-2.0)) < 1e-6
+        loss, _, _ = cca_loss(X, X, 2, reg=0.0)
+        assert abs(loss - (-2.0)) < 1e-6
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((50, 3))
         A = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         b = rng.standard_normal(3)
-        base = dccf_loss(CcaViews(X, X, reg=0.0), 2).loss
-        moved = dccf_loss(CcaViews(X, X @ A + b, reg=0.0), 2).loss
+        base = cca_loss(X, X, 2, reg=0.0)[0]
+        moved = cca_loss(X, X @ A + b, 2, reg=0.0)[0]
         assert abs(base - moved) < 1e-5
 
     def test_affine_invariance_at_small_reg(self):
@@ -70,8 +65,8 @@ class TestDccfLoss:
             Y = rng.standard_normal((60, 3))
             A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
             b = rng.standard_normal(4)
-            base = dccf_loss(CcaViews(X, Y, reg=1e-6), 2).loss
-            moved = dccf_loss(CcaViews(X @ A + b, Y, reg=1e-6), 2).loss
+            base = cca_loss(X, Y, 2, reg=1e-6)[0]
+            moved = cca_loss(X @ A + b, Y, 2, reg=1e-6)[0]
             assert abs(base - moved) < 1e-4
 
     def test_independent_views_match_eigen_oracle(self):
@@ -80,10 +75,10 @@ class TestDccfLoss:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((2000, 4))
             Y = rng.standard_normal((2000, 4))
-            res = dccf_loss(CcaViews(X, Y), 3)
+            loss, _, _ = cca_loss(X, Y, 3)
             oracle = -eigen_cca_correlations(X, Y, 1e-4)[:3].sum()
-            assert abs(res.loss - oracle) < 1e-8
-            losses.append(res.loss)
+            assert abs(loss - oracle) < 1e-8
+            losses.append(loss)
         assert -0.35 < min(losses) and max(losses) < 0.0
 
     def test_symmetry_in_views(self):
@@ -91,8 +86,8 @@ class TestDccfLoss:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((40, 4))
             Y = rng.standard_normal((40, 3))
-            a = dccf_loss(CcaViews(X, Y), 2).loss
-            b = dccf_loss(CcaViews(Y, X), 2).loss
+            a = cca_loss(X, Y, 2)[0]
+            b = cca_loss(Y, X, 2)[0]
             assert abs(a - b) < 1e-8
 
     def test_bounds_and_correlation_range(self):
@@ -106,21 +101,21 @@ class TestDccfLoss:
             if rng.random() < 0.3 and d_y <= d_x:
                 Y = X[:, :d_y] + 0.01 * rng.standard_normal((M, d_y))
             k = k_max(d_x, d_y, M)
-            res = dccf_loss(CcaViews(X, Y), k)
-            assert res.correlations.shape == (k,)
-            assert (res.correlations >= 0).all()
-            assert (res.correlations <= 1 + 1e-6).all()
-            assert -k <= res.loss <= 1e-6
+            loss, corr, _ = cca_loss(X, Y, k)
+            assert corr.shape == (k,)
+            assert (corr >= 0).all()
+            assert (corr <= 1 + 1e-6).all()
+            assert -k <= loss <= 1e-6
 
     def test_k_above_limit_rejected(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((20, 3))
         with pytest.raises(ConfigurationError):
-            dccf_loss(CcaViews(X, X), 3)
+            cca_loss(X, X, 3)
 
     def test_batch_not_exceeding_width_rejected(self):
         with pytest.raises(ConfigurationError):
-            CcaViews(np.zeros((4, 4)), np.zeros((4, 2)))
+            cca_loss(np.zeros((4, 4)), np.zeros((4, 2)), 1)
 
 
 class TestDccfGrad:
@@ -130,10 +125,9 @@ class TestDccfGrad:
             X = rng.standard_normal((12, 3))
             Y = rng.standard_normal((12, 3))
             k = 2
-            res = dccf_loss(CcaViews(X, Y), k)
-            grad = dccf_grad(res)
+            _, _, grad = cca_loss(X, Y, k)
             fd = fd_gradient(
-                lambda A: dccf_loss(CcaViews(A, Y), k).loss, X, 1e-5
+                lambda A: cca_loss(A, Y, k)[0], X, 1e-5
             )
             scale = max(np.abs(fd).max(), 1e-12)
             assert np.abs(grad - fd).max() / scale < 1e-4
@@ -141,15 +135,15 @@ class TestDccfGrad:
     def test_stationary_at_identical_views(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((50, 3))
-        res = dccf_loss(CcaViews(X, X, reg=0.0), 2)
-        assert np.abs(dccf_grad(res)).max() < 1e-6
+        _, _, grad = cca_loss(X, X, 2, reg=0.0)
+        assert np.abs(grad).max() < 1e-6
 
     def test_direction_invariant_under_scaling(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 4))
         Y = rng.standard_normal((30, 4))
-        g1 = dccf_grad(dccf_loss(CcaViews(X, Y, reg=0.0), 3))
-        g2 = dccf_grad(dccf_loss(CcaViews(2.0 * X, Y, reg=0.0), 3))
+        g1 = cca_loss(X, Y, 3, reg=0.0)[2]
+        g2 = cca_loss(2.0 * X, Y, 3, reg=0.0)[2]
         for r1, r2 in zip(g1, g2):
             n1, n2 = np.linalg.norm(r1), np.linalg.norm(r2)
             if n1 < 1e-12 or n2 < 1e-12:
@@ -157,13 +151,88 @@ class TestDccfGrad:
             cos = abs(r1 @ r2) / (n1 * n2)
             assert cos > 1 - 1e-6
 
-    def test_missing_cache_rejected(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((12, 3))
-        res = dccf_loss(CcaViews(X, X), 2)
-        res.cache = None
-        with pytest.raises(ConfigurationError):
-            dccf_grad(res)
+
+class TestCcaLossChecks:
+    def test_non_finite_rejected(self):
+        X = np.random.default_rng(10).standard_normal((12, 3))
+        Y = X.copy()
+        Y[4, 1] = np.nan
+        with pytest.raises(NumericError):
+            cca_loss(X, Y, 2)
+        with pytest.raises(NumericError):
+            cca_loss(Y, X, 2)
+
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(DimensionError):
+            cca_loss(np.zeros((12, 2)), np.zeros((13, 2)), 1)
+
+    def test_negative_reg_rejected(self):
+        X = np.random.default_rng(11).standard_normal((12, 3))
+        with pytest.raises(NumericError):
+            cca_loss(X, X, 2, reg=-1e-4)
+        with pytest.raises(NumericError):
+            dcsh_loss(X, X, X, X, 1.0, reg=-1e-4)
+
+    def test_non_positive_clamp_rejected(self):
+        X = np.random.default_rng(12).standard_normal((12, 3))
+        with pytest.raises(NumericError):
+            cca_loss(X, X, 2, clamp=0.0)
+
+    def test_copy_gets_the_same_ridge(self):
+        # With Y = X each correlation is lam / (lam + reg) over the
+        # eigenvalues lam of X's covariance, so the ridge must reach both
+        # autocovariances, whether or not Y is the same array as X.
+        X = np.random.default_rng(4).standard_normal((10, 3))
+        reg = 0.5
+        same = cca_loss(X, X, 2, reg=reg)
+        copy = cca_loss(X, X.copy(), 2, reg=reg)
+        np.testing.assert_array_equal(copy[1], same[1])
+        np.testing.assert_array_equal(copy[2], same[2])
+        lam = np.linalg.eigvalsh(np.cov(X, rowvar=False))[::-1][:2]
+        np.testing.assert_allclose(copy[1], lam / (lam + reg), rtol=1e-10)
+
+
+class TestHashTermInvariance:
+    """The hash target view of a single-label batch is Y_c @ Z for one-hot
+    labels Y_c and center matrix Z. CCA is invariant under an invertible
+    affine map of a view (Hotelling, 1936), so when Z's centered rank is
+    C - 1 the hash term equals the CCA against the labels themselves,
+    whichever centers are used."""
+
+    B, C, M = 32, 10, 200
+
+    def batch(self):
+        rng = np.random.default_rng(0)
+        X = 1.0 / (1.0 + np.exp(-rng.standard_normal((self.M, self.B))))
+        classes = rng.permutation(np.arange(self.M) % self.C)
+        Y_c = np.zeros((self.M, self.C))
+        Y_c[np.arange(self.M), classes] = 1.0
+        return X, Y_c
+
+    def center_sets(self):
+        sets = [gen_hadamard_centers(self.B, self.C)]
+        sets += [gen_bernoulli_centers(self.B, self.C, seed, 20)
+                 for seed in (1, 2, 3)]
+        Zs = [s.codes.astype(np.float64) for s in sets]
+        for Z in Zs:
+            assert np.linalg.matrix_rank(Z - Z.mean(axis=0)) == self.C - 1
+        return Zs
+
+    def test_centers_match_label_view_without_ridge(self):
+        X, Y_c = self.batch()
+        k = self.C - 1
+        label_loss = cca_loss(X, Y_c, k, reg=0.0)[0]
+        for Z in self.center_sets():
+            assert abs(cca_loss(X, Y_c @ Z, k, reg=0.0)[0] - label_loss) < 1e-10
+
+    def test_center_sets_agree_at_default_reg(self):
+        # The ridge breaks exact invariance: it is added in the target
+        # view's own coordinates. The spread measured on this batch is
+        # 6.3e-5 (the gap at reg = 0 is 6.8e-13); the tolerance is 1e-3.
+        X, Y_c = self.batch()
+        losses = [cca_loss(X, Y_c @ Z, self.C - 1)[0]
+                  for Z in self.center_sets()]
+        assert max(losses) - min(losses) < 1e-3
 
 
 class TestAlpha:
@@ -208,7 +277,7 @@ class TestDcshLoss:
         X_c = rng.standard_normal((30, 3))
         Y_c = rng.standard_normal((30, 3))
         loss, _, g_xc = dcsh_loss(X_h, Y_h, X_c, Y_c, 0.0)
-        hash_only = dccf_loss(CcaViews(X_h, Y_h), k_max(4, 3, 30)).loss
+        hash_only = cca_loss(X_h, Y_h, k_max(4, 3, 30))[0]
         assert loss == hash_only
         np.testing.assert_allclose(g_xc, 0.0)
 

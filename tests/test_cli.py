@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcsh import __version__, formats
-from dcsh.cli import main
+from dcsh.cli import _build_parser, main
 from dcsh.retrieval import unpack_codes
 
 
@@ -112,6 +112,20 @@ class TestPipelineArtifacts:
         pr_lines = (ev / "pr.csv").read_text().splitlines()
         assert pr_lines[0] == "threshold,recall,precision"
         assert len(pr_lines) == 1 + 9  # thresholds 0..8
+
+    @pytest.mark.parametrize("command, where", [
+        ("synth", "data"), ("gen-centers", "."), ("train", "run"),
+        ("encode", "enc"), ("eval-map", "eval"), ("eval-pr", "eval"),
+    ])
+    def test_manifest_keys_are_the_options(self, pipeline, command, where):
+        _, tables = _build_parser()
+        options = set(tables[command][1]) - {"config"}
+        # the fixture leaves only train's --alpha-override at None
+        left_none = {"alpha_override"} if command == "train" else set()
+        manifest = formats.read_config(
+            pipeline / where / f"manifest-{command}.txt"
+        )
+        assert set(manifest) == (options - left_none) | {"command", "version"}
 
     def test_query_ranking(self, pipeline, capsys):
         enc = pipeline / "enc"
@@ -294,6 +308,21 @@ class TestExitCodes:
             ])
         assert rc == 3
         assert "numeric abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--reg", "-1"), ("--clamp", "0")])
+    def test_bad_stabilizer_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                             flag, value):
+        data = pipeline / "data"
+        out = tmp_path / "out"
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"),
+            "--out", str(out), "--bits", "8", "--batch", "44",
+            "--epochs", "1", flag, value,
+        ]) == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_encode_split(self, pipeline, tmp_path, capsys):
         assert main([

@@ -71,6 +71,37 @@ class TestFeatures:
         with pytest.raises(ParseError):
             read_features(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_features(path, np.zeros((3, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ParseError) as err:
+            read_features(path)
+        assert "payload is 80 bytes, expected 72 for 3 x 3 float64" in str(
+            err.value
+        )
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_features(path, np.zeros((2, 2)))
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ParseError) as err:
+            read_features(path)
+        assert "truncated feature header" in str(err.value)
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_features(path, np.array([[1.0, np.inf], [0.0, 2.0]]))
+        with pytest.raises(ParseError) as err:
+            read_features(path)
+        assert "non-finite feature values" in str(err.value)
+
+    def test_empty_matrix_roundtrip(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_features(path, np.zeros((0, 5)))
+        back = read_features(path)
+        assert back.shape == (0, 5) and back.dtype == np.float64
+
     def test_error_carries_path(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"xx")

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from dcsh import network
-from dcsh.cca import (
-    CcaViews,
-    dccf_grad,
-    dccf_loss,
-    dcsh_loss,
-    dcsh_lower_bound,
-    k_max,
-)
+from dcsh.cca import cca_loss, dcsh_loss, dcsh_lower_bound, k_max
 from dcsh.centers import assign_target, gen_hadamard_centers, update_centers
 from dcsh.data import gen_synthetic, multi_hot
 from dcsh.errors import (
@@ -321,6 +314,9 @@ class TestTrainConfig:
         {"bits": 32, "epochs": 5, "momentum": 1.0},
         {"bits": 32, "epochs": 5, "alpha_mode": "balanced"},
         {"bits": 32, "epochs": 5, "alpha_override": -1.0},
+        {"bits": 32, "epochs": 5, "reg": -1.0},
+        {"bits": 32, "epochs": 5, "clamp": 0.0},
+        {"bits": 32, "epochs": 5, "clamp": -1e-8},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -410,10 +406,9 @@ class TestTrain:
                     for i in sel
                 ], dtype=np.float64)
                 x_h, x_c, cache = forward(ref, X_train[sel])
-                res = dccf_loss(CcaViews(x_h, Y_h, config.reg), k_hash,
-                                config.clamp)
-                grads = backward(ref, cache, dccf_grad(res),
-                                 np.zeros_like(x_c))
+                _, _, g_xh = cca_loss(x_h, Y_h, k_hash, config.reg,
+                                      config.clamp)
+                grads = backward(ref, cache, g_xh, np.zeros_like(x_c))
                 sgd_step(ref, grads, lr)
             x_h_full, _, _ = forward(ref, X_train)
             centers = update_centers(x_h_full, labels_train, 4,

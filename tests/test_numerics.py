@@ -2,96 +2,7 @@ import numpy as np
 import pytest
 
 from dcsh.errors import DimensionError, NumericError
-from dcsh.numerics import (
-    autocovariance,
-    center_columns,
-    covariance,
-    fd_gradient,
-    inv_sqrt_sym,
-    thin_svd,
-)
-
-
-class TestCenterColumns:
-    def test_symmetric_two_row_case(self):
-        out = center_columns([[1, 3], [3, 1]])
-        np.testing.assert_allclose(out, [[-1, 1], [1, -1]])
-
-    def test_hand_computed_column_means(self):
-        out = center_columns([[1, 2], [2, 4], [3, 6]])
-        np.testing.assert_allclose(out, [[-1, -2], [0, 0], [1, 2]])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            X = rng.standard_normal((rng.integers(2, 30), rng.integers(1, 8)))
-            once = center_columns(X)
-            np.testing.assert_allclose(center_columns(once), once, atol=1e-12)
-
-    def test_column_means_vanish(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((50, 7)) * 100 + 3
-        out = center_columns(X)
-        np.testing.assert_allclose(out.mean(axis=0), 0, atol=1e-12)
-        assert out.shape == X.shape
-
-    def test_single_row_rejected(self):
-        with pytest.raises(DimensionError):
-            center_columns([[1.0, 2.0]])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            center_columns([[1.0, np.nan], [2.0, 3.0]])
-
-
-class TestCovariance:
-    def test_variance_of_plus_minus_one(self):
-        Xc = np.array([[-1.0], [1.0]])
-        np.testing.assert_allclose(covariance(Xc, Xc), [[2.0]])
-
-    def test_anti_correlated(self):
-        Xc = np.array([[-1.0], [1.0]])
-        Yc = np.array([[1.0], [-1.0]])
-        np.testing.assert_allclose(covariance(Xc, Yc), [[-2.0]])
-
-    def test_diagonal_load_on_self_view(self):
-        Xc = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        out = autocovariance(Xc, 1e-4)
-        np.testing.assert_allclose(out, [[2.0001, 0.0], [0.0, 0.0001]])
-
-    def test_reg_skipped_for_distinct_views(self):
-        # the cross covariance carries no ridge term, even for an equal copy
-        Xc = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        Yc = Xc.copy()
-        out = covariance(Xc, Yc)
-        np.testing.assert_allclose(out, [[2.0, 0.0], [0.0, 0.0]])
-
-    def test_copy_gets_the_same_ridge(self):
-        rng = np.random.default_rng(4)
-        Xc = center_columns(rng.standard_normal((10, 3)))
-        S = autocovariance(Xc, 0.5)
-        np.testing.assert_array_equal(autocovariance(Xc.copy(), 0.5), S)
-        np.testing.assert_allclose(
-            S - autocovariance(Xc, 0.0), 0.5 * np.eye(3), atol=1e-12
-        )
-
-    def test_negative_reg_rejected(self):
-        with pytest.raises(NumericError):
-            autocovariance(np.zeros((4, 2)), -1e-4)
-
-    def test_self_covariance_positive_definite(self):
-        rng = np.random.default_rng(2)
-        for reg in (0.0, 1e-6, 1e-4, 1e-2):
-            for _ in range(10):
-                X = rng.standard_normal((rng.integers(4, 40), rng.integers(1, 6)))
-                Xc = center_columns(X)
-                S = autocovariance(Xc, reg)
-                np.testing.assert_allclose(S, S.T, atol=1e-12)
-                assert np.linalg.eigvalsh(S).min() >= reg - 1e-10
-
-    def test_mismatched_rows_rejected(self):
-        with pytest.raises(DimensionError):
-            covariance(np.zeros((4, 2)), np.zeros((5, 2)))
+from dcsh.numerics import fd_gradient, inv_sqrt_sym, thin_svd
 
 
 class TestInvSqrtSym:

@@ -1,10 +1,13 @@
-"""Every dcsh function the traced benchmark run wraps still exists.
+"""Every dcsh function the traced benchmark run wraps still exists, and
+training still reaches the ones its per-layer metrics time.
 
 `perfbench/run.py --trace 1` wraps the functions named in
 `perfbench/spans.py` `TARGETS`; a rename there would only show as a
-failed traced run. This test loads that file by path (perfbench is not
-a package) and resolves each entry the way its wrapper does: a module
-attribute, or an entry in a class's own `__dict__`.
+failed traced run, and a hot path that stops calling a wrapped name
+would only show as a metric that reads zero. These tests load that file
+by path (perfbench is not a package), resolve each entry the way its
+wrapper does (a module attribute, or an entry in a class's own
+`__dict__`), and count the calls of one tiny traced training run.
 """
 
 import importlib
@@ -13,17 +16,35 @@ from pathlib import Path
 
 import pytest
 
+from dcsh import network
+from dcsh.centers import gen_hadamard_centers
+from dcsh.data import gen_synthetic
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
+# Spans of the training step that must each see at least one call.
+TRAINING_SPANS = (
+    "network.forward_batch",
+    "network.backward",
+    "network.sgd_step",
+    "cca.dcsh_loss",
+    "numerics.as_matrix",
+    "numerics.inv_sqrt_sym",
+    "numerics.thin_svd",
+    "centers.update_centers",
+)
 
-def load_targets():
+
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(module_name, attr) for module_name, attr, *_ in module.TARGETS]
+    return module
 
 
-@pytest.mark.parametrize("module_name, attr", load_targets())
+@pytest.mark.parametrize("module_name, attr", [
+    (module_name, attr) for module_name, attr, *_ in load_spans().TARGETS
+])
 def test_target_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     owner, _, leaf = attr.rpartition(".")
@@ -31,3 +52,16 @@ def test_target_resolves(module_name, attr):
         assert leaf in vars(getattr(module, owner)), f"{module_name}.{attr}"
     else:
         assert callable(getattr(module, leaf, None)), f"{module_name}.{attr}"
+
+
+def test_training_reaches_the_timed_targets():
+    spans = load_spans()
+    dataset = gen_synthetic(N=220, D=8, C=4, seed=0, query_frac=0.2)
+    config = network.TrainConfig(bits=8, epochs=1, batch_size=44, lr=1e-3,
+                                 hidden=(16,), d_int=20)
+    model = network.build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
+    with spans.installed(spans.Tracer()) as tracer:
+        # looked up at call time, so the call goes through the wrapper
+        network.train(model, config, dataset, gen_hadamard_centers(8, 4))
+    for name in TRAINING_SPANS:
+        assert tracer.counts[name + ".calls"] > 0, name
