@@ -7,7 +7,8 @@ def scan_distances(gallery_words, query_words):
     """Hamming distances from one packed query to every gallery row.
 
     gallery: (N, W) uint64, query: (W,) uint64 -> (N,) distances of the
-    smallest unsigned type that holds 64 * W, so a stable sort is a radix sort.
+    smallest unsigned type that holds 64 * W, so the ranking's counting
+    passes read one byte per row up to 192 bits.
     """
     gallery = np.ascontiguousarray(gallery_words, dtype=np.uint64)
     query = np.ascontiguousarray(query_words, dtype=np.uint64)

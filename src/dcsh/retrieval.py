@@ -2,8 +2,11 @@
 
 Gallery codes are packed into ceil(B/64) 64-bit words per sample, bit j
 at bit (j mod 64) of word (j div 64), and scanned linearly with a
-popcount kernel. Rankings order by distance, then ascending id, so
-every result is deterministic regardless of storage order (`_rank`).
+popcount kernel. The gallery keeps its file order. Rankings order by
+distance, then ascending id, so every result is deterministic
+regardless of storage order: `_rank` bisects [0, B] for the k-th
+smallest distance t, counting rows with d <= t in each step, then sorts
+only the rows within t.
 A gallery sample is relevant to a query when it carries one of the
 query's classes (`relevance_mask`); the same-class rule only adds that
 every label set, the query's included, holds exactly one class.
@@ -24,9 +27,9 @@ RELEVANCE_RULES = (SAME_CLASS, SHARE_ANY)
 
 def _as_bits(code, name="code"):
     if isinstance(code, str):
-        if set(code) - {"0", "1"}:
+        code = np.frombuffer(code.encode(errors="replace"), np.uint8) - ord("0")
+        if (code > 1).any():
             raise DimensionError(f"{name} string must be 0/1 characters")
-        code = [int(ch) for ch in code]
     A = np.asarray(code)
     if A.ndim != 1 or A.shape[0] < 1:
         raise DimensionError(f"{name} must be a non-empty bit vector")
@@ -76,9 +79,9 @@ def hamming(a, b):
 
 
 class PackedCodeIndex:
-    """Immutable gallery of packed codes with ids and optional labels;
-    `id_order` lists the rows by ascending id, `incidence` is the label
-    table up to the largest class, `single_label` says each row has one."""
+    """Immutable gallery of packed codes with unique ids and optional
+    labels, rows in the order given; `incidence` is the label table up to
+    the largest class, `single_label` says each row has one."""
 
     def __init__(self, words, B, ids, labels=None):
         self.words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -97,8 +100,7 @@ class PackedCodeIndex:
         self.ids = np.asarray(ids, dtype=np.int64)
         if self.ids.ndim != 1 or self.ids.shape[0] != self.words.shape[0]:
             raise DimensionError("ids must align with code rows")
-        self.id_order = np.argsort(self.ids, kind="stable")
-        by_id = self.ids[self.id_order]
+        by_id = np.sort(self.ids, kind="stable")  # linear on ids in order
         if np.any(by_id[1:] == by_id[:-1]):
             raise ConfigurationError("gallery ids must be unique")
         self.incidence = self.single_label = None
@@ -115,7 +117,6 @@ class PackedCodeIndex:
         self.labels = labels
         self.words.setflags(write=False)
         self.ids.setflags(write=False)
-        self.id_order.setflags(write=False)
 
     @classmethod
     def from_bits(cls, bits, ids, labels=None):
@@ -146,9 +147,22 @@ class QueryResult:
 
 
 def _rank(index, dists, k):
-    """Rows of the k nearest samples, by distance, then ascending id: a
-    stable sort of the distances taken in id order."""
-    return index.id_order[np.argsort(dists[index.id_order], kind="stable")[:k]]
+    """Rows of the k nearest samples, by distance, then ascending id.
+
+    Bisection over [0, B] finds t, the k-th smallest distance (B when
+    k > N), in at most ceil(log2(B + 1)) counting passes; only the rows
+    with d <= t are sorted, so the cost grows with N only through those
+    passes unless many rows tie at t.
+    """
+    lo, hi = 0, index.B
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.count_nonzero(dists <= mid) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    rows = np.flatnonzero(dists <= lo)
+    return rows[np.lexsort((index.ids[rows], dists[rows]))[:k]]
 
 
 def query_topk(index, code, k):
@@ -233,7 +247,7 @@ def map_at_k(queries, gallery, k, rule):
     aps = np.empty(queries.N, dtype=np.float64)
     for i, (dists, rel_mask) in enumerate(_scored(queries, gallery, rule)):
         hits = rel_mask[_rank(gallery, dists, k)].astype(np.uint8)
-        aps[i] = average_precision(hits, int(rel_mask.sum()))
+        aps[i] = average_precision(hits, np.count_nonzero(rel_mask))
     return MapResult(map=float(aps.mean()), query_ids=queries.ids.copy(), aps=aps)
 
 
@@ -251,7 +265,7 @@ def pr_curve(queries, gallery, rule):
     recall_sum = np.zeros(B + 1, dtype=np.float64)
     counted = 0
     for dists, rel_mask in _scored(queries, gallery, rule):
-        R_total = int(rel_mask.sum())
+        R_total = np.count_nonzero(rel_mask)
         if R_total == 0:
             continue
         retrieved = np.cumsum(np.bincount(dists, minlength=B + 1))

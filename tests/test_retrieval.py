@@ -169,6 +169,86 @@ class TestQueryTopk:
         with pytest.raises(DimensionError):
             query_topk(self.gallery(), [0.0, 1.0, bad], 3)
 
+    @pytest.mark.parametrize("bad", ["0 1", "012", "01é", "0\udcff1"])
+    def test_non_binary_string_rejected(self, bad):
+        with pytest.raises(DimensionError, match="0/1 characters"):
+            query_topk(self.gallery(), bad, 3)
+
+    def test_empty_string_rejected(self):
+        with pytest.raises(DimensionError, match="non-empty bit vector"):
+            query_topk(self.gallery(), "", 3)
+
+
+class TestRank:
+    """`query_topk` and `map_at_k` against `np.lexsort((ids, d))[:k]`,
+    with distances and relevance computed from the bits and labels alone."""
+
+    N = 300
+
+    @staticmethod
+    def reference(bits, ids, q):
+        d = (bits != q).sum(axis=1)
+        return np.lexsort((ids, d)), d
+
+    def case(self, B, half_tied):
+        rng = np.random.default_rng(B)
+        bits = rng.integers(0, 2, size=(self.N, B), dtype=np.uint8)
+        if half_tied:
+            # half the rows share bits[0]: querying it puts >= 150 rows at d = 0
+            bits[rng.permutation(self.N)[: self.N // 2]] = bits[0]
+        ids = rng.choice(50 * self.N, size=self.N, replace=False)
+        classes = rng.integers(0, 3, size=self.N)
+        q_bits = np.vstack([bits[:1], rng.integers(0, 2, size=(5, B))])
+        q_classes = rng.integers(0, 3, size=q_bits.shape[0])
+        gallery = PackedCodeIndex.from_bits(
+            bits, ids, labels=[[c] for c in classes]
+        )
+        queries = PackedCodeIndex.from_bits(
+            q_bits, np.arange(q_bits.shape[0]),
+            labels=[[c] for c in q_classes],
+        )
+        return bits, ids, classes, q_bits, q_classes, gallery, queries
+
+    # B = 130 and below give uint8 distances, B = 200 uint16
+    @pytest.mark.parametrize("B", [1, 3, 8, 67, 130, 200])
+    @pytest.mark.parametrize("half_tied", [False, True])
+    @pytest.mark.parametrize("k", [1, 100, N, N + 7])
+    def test_matches_lexsort(self, B, half_tied, k):
+        bits, ids, classes, q_bits, q_classes, gallery, queries = self.case(
+            B, half_tied
+        )
+        aps = []
+        for q, c in zip(q_bits, q_classes):
+            order, d = self.reference(bits, ids, q)
+            out = query_topk(gallery, q, k)
+            np.testing.assert_array_equal(out.ids, ids[order[:k]])
+            np.testing.assert_array_equal(out.distances, d[order[:k]])
+            assert out.clipped == (k > self.N)
+            rel = classes == c
+            aps.append(average_precision(rel[order[:k]], int(rel.sum())))
+        out = map_at_k(queries, gallery, k, "same-class")
+        np.testing.assert_array_equal(out.aps, aps)
+
+    def test_empty_gallery(self):
+        empty = PackedCodeIndex.from_bits(np.zeros((0, 8), dtype=np.uint8), [])
+        out = query_topk(empty, "01010101", 5)
+        assert out.ids.shape == out.distances.shape == (0,)
+        assert out.clipped
+
+    @pytest.mark.parametrize("k", [1, 100, 2000])
+    def test_all_identical_gallery(self, k):
+        # every row ties at t, so the whole gallery is sorted by id
+        rng = np.random.default_rng(3)
+        bits = np.tile(rng.integers(0, 2, size=16, dtype=np.uint8), (2000, 1))
+        ids = rng.permutation(2000) * 3 + 1
+        gallery = PackedCodeIndex.from_bits(bits, ids)
+        for q in (bits[0], 1 - bits[0]):
+            order, d = self.reference(bits, ids, q)
+            out = query_topk(gallery, q, k)
+            np.testing.assert_array_equal(out.ids, ids[order[:k]])
+            np.testing.assert_array_equal(out.ids, np.sort(ids)[:k])
+            np.testing.assert_array_equal(out.distances, d[order[:k]])
+
 
 class TestAveragePrecision:
     def test_hand_case(self):

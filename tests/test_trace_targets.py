@@ -1,5 +1,5 @@
 """Every dcsh function the traced benchmark run wraps still exists, and
-training still reaches the ones its per-layer metrics time.
+training and retrieval still reach the ones its per-layer metrics time.
 
 `perfbench/run.py --trace 1` wraps the functions named in
 `perfbench/spans.py` `TARGETS`; a rename there would only show as a
@@ -7,16 +7,18 @@ failed traced run, and a hot path that stops calling a wrapped name
 would only show as a metric that reads zero. These tests load that file
 by path (perfbench is not a package), resolve each entry the way its
 wrapper does (a module attribute, or an entry in a class's own
-`__dict__`), and count the calls of one tiny traced training run.
+`__dict__`), and count the calls of one tiny traced training run and
+one tiny traced retrieval run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dcsh import network
+from dcsh import network, retrieval
 from dcsh.centers import gen_hadamard_centers
 from dcsh.data import gen_synthetic
 
@@ -32,6 +34,17 @@ TRAINING_SPANS = (
     "numerics.inv_sqrt_sym",
     "numerics.thin_svd",
     "centers.update_centers",
+)
+
+# Spans of the eval and top-k paths that must each see at least one call;
+# `retrieval.rank.s` is the self time of `query_topk` plus `map_at_k`.
+RETRIEVAL_SPANS = (
+    "kernels.scan_distances",
+    "retrieval.relevance_mask",
+    "retrieval.query_topk",
+    "retrieval.map_at_k",
+    "retrieval.average_precision",
+    "retrieval.pr_curve",
 )
 
 
@@ -64,4 +77,22 @@ def test_training_reaches_the_timed_targets():
         # looked up at call time, so the call goes through the wrapper
         network.train(model, config, dataset, gen_hadamard_centers(8, 4))
     for name in TRAINING_SPANS:
+        assert tracer.counts[name + ".calls"] > 0, name
+
+
+def test_retrieval_reaches_the_timed_targets():
+    spans = load_spans()
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2, size=(20, 8), dtype=np.uint8)
+    gallery = retrieval.PackedCodeIndex.from_bits(
+        bits, np.arange(20), labels=[[i % 2] for i in range(20)]
+    )
+    queries = retrieval.PackedCodeIndex.from_bits(
+        bits[:3], np.arange(100, 103), labels=[[0], [1], [0]]
+    )
+    with spans.installed(spans.Tracer()) as tracer:
+        retrieval.query_topk(gallery, "01100101", 5)
+        retrieval.map_at_k(queries, gallery, 5, "same-class")
+        retrieval.pr_curve(queries, gallery, "same-class")
+    for name in RETRIEVAL_SPANS:
         assert tracer.counts[name + ".calls"] > 0, name
