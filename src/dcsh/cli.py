@@ -29,6 +29,7 @@ from .errors import (
     StaleCacheError,
 )
 from .network import (
+    DEFAULT_HIDDEN,
     DcshModel,
     TrainConfig,
     binarize,
@@ -56,13 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_hidden(text):
-    if isinstance(text, tuple):
-        return text
-    parts = [p for p in str(text).split(",") if p.strip()]
+    parts = [p for p in text.split(",") if p.strip()]
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigurationError(
+        raise argparse.ArgumentTypeError(
             f"hidden widths must be comma-separated integers, got {text!r}"
         ) from None
 
@@ -97,9 +96,8 @@ def _build_parser():
 
     def command(name, help_text):
         parser = sub.add_parser(name, help=help_text)
-        types = {"config": str}
         required = {}
-        tables[name] = (parser, types, required)
+        tables[name] = (parser, required)
         parser.add_argument(
             "--config", type=str, default=None,
             help="key=value file supplying flag defaults",
@@ -107,9 +105,8 @@ def _build_parser():
 
         def opt(flag, converter, default=None, required_flag=False, help=""):
             dest = flag.lstrip("-").replace("-", "_")
-            types[dest] = converter
             # Required options stay optional to argparse so a --config
-            # file can supply them; _run checks for gaps after merging.
+            # file can supply them; main checks for gaps after merging.
             if required_flag:
                 required[dest] = flag
             parser.add_argument(
@@ -141,19 +138,19 @@ def _build_parser():
     opt("--centers", str, help="initial center file; generated when omitted")
     opt("--out", str, required_flag=True, help="output directory")
     opt("--bits", int, default=32)
-    opt("--batch", int, default=200)
-    opt("--lr", float, default=3e-4)
-    opt("--lr-decay", float, default=0.7)
-    opt("--decay-every", int, default=10)
+    opt("--batch", int, default=TrainConfig.batch_size)
+    opt("--lr", float, default=TrainConfig.lr)
+    opt("--lr-decay", float, default=TrainConfig.lr_decay)
+    opt("--decay-every", int, default=TrainConfig.decay_every)
     opt("--epochs", int, default=50)
-    opt("--alpha-mode", str, default="emphasized")
+    opt("--alpha-mode", str, default=TrainConfig.alpha_mode)
     opt("--alpha-override", float,
         help="fixed alpha value, bypassing the mode formula")
-    opt("--reg", float, default=1e-4)
-    opt("--clamp", float, default=1e-8)
-    opt("--momentum", float, default=0.0)
-    opt("--seed", int, default=0)
-    opt("--hidden", _parse_hidden, default=(256, 256),
+    opt("--reg", float, default=TrainConfig.reg)
+    opt("--clamp", float, default=TrainConfig.clamp)
+    opt("--momentum", float, default=TrainConfig.momentum)
+    opt("--seed", int, default=TrainConfig.seed)
+    opt("--hidden", _parse_hidden, default=DEFAULT_HIDDEN,
         help="extractor widths, comma separated")
     opt("--d-int", int, help="intermediate width, default max(4C, 128)")
     opt("--trials", int, default=100, help="Bernoulli trials when generating")
@@ -193,38 +190,19 @@ def _build_parser():
     return top, tables
 
 
-def _apply_config(tables, argv):
-    if not argv or argv[0].startswith("-"):
-        return
-    name = argv[0]
-    if name not in tables:
-        return
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token[len("--config="):]
-    if path is None:
-        return
-    parser, types, _ = tables[name]
-    raw = formats.read_config(path)
-    defaults = {}
-    for key, value in raw.items():
-        if key in ("command", "version"):
-            continue
-        if key not in types:
+def _apply_config(parser, args):
+    """Install the --config file's raw strings as the subcommand's
+    defaults; argparse converts each with its option's own type, and
+    only where the command line leaves the option unset."""
+    raw = formats.read_config(args.config)
+    for key in ("command", "version"):
+        raw.pop(key, None)
+    for key in raw:
+        if key not in vars(args):
             raise ConfigurationError(
-                f"unknown config key {key!r} for command {name!r}"
+                f"unknown config key {key!r} for command {args.command!r}"
             )
-        converter = types[key]
-        try:
-            defaults[key] = converter(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"bad value {value!r} for config key {key!r}"
-            ) from None
-    parser.set_defaults(**defaults)
+    parser.set_defaults(**raw)
 
 
 def _cmd_synth(args):
@@ -274,7 +252,7 @@ def _cmd_train(args):
         lr=args.lr, lr_decay=args.lr_decay, decay_every=args.decay_every,
         alpha_mode=args.alpha_mode, alpha_override=args.alpha_override,
         reg=args.reg, clamp=args.clamp, momentum=args.momentum,
-        seed=args.seed, hidden=args.hidden, d_int=args.d_int,
+        seed=args.seed,
     )
     if args.centers is not None:
         centers0 = formats.read_centers(args.centers)
@@ -284,7 +262,7 @@ def _cmd_train(args):
         )
     model = build_model(
         D=dataset.D, C=dataset.C, bits=config.bits,
-        hidden=config.hidden, d_int=config.d_int, seed=config.seed,
+        hidden=args.hidden, d_int=args.d_int, seed=config.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     model, history, curves = train(model, config, dataset, centers0)
@@ -410,9 +388,11 @@ def main(argv=None):
     argv = [str(a) for a in argv]
     try:
         top, tables = _build_parser()
-        _apply_config(tables, argv)
         args = top.parse_args(argv)
-        _, _, required = tables[args.command]
+        parser, required = tables[args.command]
+        if args.config is not None:
+            _apply_config(parser, args)
+            args = top.parse_args(argv)
         missing = [
             flag for dest, flag in required.items()
             if getattr(args, dest) is None

@@ -29,12 +29,9 @@ PREDICT_ROWS = 4096
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; for z < 0 it is exp(z) bit for bit.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class DcshModel:
@@ -99,11 +96,9 @@ def build_model(D, C, bits, hidden=DEFAULT_HIDDEN, d_int=None, seed=0):
     """Seeded Glorot-uniform model; biases start at zero."""
     if d_int is None:
         d_int = max(4 * C, 128)
-    if d_int <= C:
-        raise ConfigurationError(
-            f"intermediate width {d_int} must exceed C={C}"
-        )
     dims = [D, *hidden, bits, d_int, C]
+    if min(dims) < 1:
+        raise ConfigurationError(f"layer widths must be >= 1, got {dims}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -250,8 +245,6 @@ class TrainConfig:
     clamp: float = DEFAULT_CLAMP
     momentum: float = 0.0
     seed: int = 0
-    hidden: tuple = DEFAULT_HIDDEN
-    d_int: int = None
 
     def __post_init__(self):
         if self.bits < 2:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from dcsh import __version__, formats
 from dcsh.cli import _build_parser, main
+from dcsh.network import DEFAULT_HIDDEN, TrainConfig
 from dcsh.retrieval import unpack_codes
 
 
@@ -118,8 +120,8 @@ class TestPipelineArtifacts:
         ("encode", "enc"), ("eval-map", "eval"), ("eval-pr", "eval"),
     ])
     def test_manifest_keys_are_the_options(self, pipeline, command, where):
-        _, tables = _build_parser()
-        options = set(tables[command][1]) - {"config"}
+        top, _ = _build_parser()
+        options = set(vars(top.parse_args([command]))) - {"command", "config"}
         # the fixture leaves only train's --alpha-override at None
         left_none = {"alpha_override"} if command == "train" else set()
         manifest = formats.read_config(
@@ -180,6 +182,38 @@ class TestConfigMerge:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    def test_first_unknown_key_in_file_order(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("zeta=1\nalpha=2\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "'zeta'" in capsys.readouterr().err
+
+    def test_config_abbreviation(self, tmp_path):
+        cfg = tmp_path / "s.txt"
+        cfg.write_text("seed=7\n")
+        centers = []
+        for flag in ("--config", "--conf"):
+            out = tmp_path / flag.lstrip("-") / "c.txt"
+            assert main([
+                "gen-centers", "--bits", "12", "--classes", "5",
+                flag, str(cfg), "--out", str(out),
+            ]) == 0
+            manifest = formats.read_config(out.parent / "manifest-gen-centers.txt")
+            assert manifest["seed"] == "7"
+            centers.append(out.read_bytes())
+        assert centers[0] == centers[1]
+
+    def test_bad_config_value_names_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "s.txt"
+        cfg.write_text("seed=x\n")
+        argv = ["gen-centers", "--bits", "8", "--classes", "4",
+                "--config", str(cfg), "--out", str(tmp_path / "c.txt")]
+        assert main(argv) == 1
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+        # an explicit flag replaces the bad value before it is converted
+        assert main([*argv, "--seed", "3"]) == 0
+
     def test_retired_normalized_update_key(self, pipeline, tmp_path, capsys):
         # Train manifests written before the key was removed carry it.
         manifest = (pipeline / "run" / "manifest-train.txt").read_text()
@@ -221,6 +255,17 @@ class TestConfigMerge:
             out / "features.bin", out / "labels.txt", out / "splits.txt"
         )
         assert ds.N == 20
+
+
+class TestTrainDefaults:
+    def test_flags_default_to_train_config(self):
+        top, _ = _build_parser()
+        args = vars(top.parse_args(["train"]))
+        config = TrainConfig(bits=32, epochs=50)
+        for field in dataclasses.fields(TrainConfig):
+            dest = "batch" if field.name == "batch_size" else field.name
+            assert args[dest] == getattr(config, field.name), field.name
+        assert args["hidden"] == DEFAULT_HIDDEN
 
 
 class TestCenterGeneratorChoice:
@@ -322,6 +367,21 @@ class TestExitCodes:
             "--epochs", "1", flag, value,
         ]) == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_width_below_one_is_a_usage_error(self, pipeline, tmp_path,
+                                              capsys, value):
+        data = pipeline / "data"
+        out = tmp_path / "out"
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"),
+            "--out", str(out), "--bits", "8", "--batch", "44",
+            "--epochs", "1", "--hidden", value,
+        ]) == 1
+        assert "widths must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_encode_split(self, pipeline, tmp_path, capsys):

@@ -62,7 +62,7 @@ class TestModelShape:
         assert np.abs(W).max() > 0.8 * limit
 
     def test_narrow_intermediate_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="must exceed C=3"):
             build_model(D=6, C=3, bits=4, hidden=(8,), d_int=3)
         layers = [
             (np.zeros((6, 4)), np.zeros(4)),
@@ -71,6 +71,17 @@ class TestModelShape:
         ]
         with pytest.raises(ConfigurationError):
             DcshModel(layers, n_extractor=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"hidden": (8, 0)},
+        {"hidden": (-5,)},
+        {"bits": 0},
+        {"d_int": 0},
+    ])
+    def test_width_below_one_rejected(self, kwargs):
+        args = {"D": 6, "C": 3, "bits": 4, "hidden": (8,), "d_int": 12, **kwargs}
+        with pytest.raises(ConfigurationError, match="widths must be >= 1"):
+            build_model(**args)
 
     def test_mismatched_chain_rejected(self):
         layers = [
@@ -327,7 +338,7 @@ def small_run(seed=0, epochs=3, **kwargs):
     dataset = gen_synthetic(N=220, D=8, C=4, B_separation=6.0, seed=seed,
                             query_frac=0.2)
     config = TrainConfig(bits=8, epochs=epochs, batch_size=44, lr=1e-3,
-                         hidden=(16,), d_int=20, seed=seed, **kwargs)
+                         seed=seed, **kwargs)
     model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=seed)
     centers0 = gen_hadamard_centers(8, 4)
     return train(model, config, dataset, centers0), dataset, config, centers0
@@ -375,7 +386,7 @@ class TestTrain:
         dataset = gen_synthetic(N=110, D=8, C=4, seed=0, query_frac=0.05)
         assert dataset.query_indices.shape[0] <= 8
         config = TrainConfig(bits=8, epochs=2, batch_size=35, lr=1e-3,
-                             hidden=(16,), d_int=20, seed=0)
+                             seed=0)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=0)
         _, _, curves = train(model, config, dataset, gen_hadamard_centers(8, 4))
         assert all(row[2] is None for row in curves)
@@ -427,7 +438,7 @@ class TestTrain:
         assert any(len(s) == 2 for s in sets)
         epochs = 3
         config = TrainConfig(bits=8, epochs=epochs, batch_size=40, lr=1e-3,
-                             hidden=(16,), d_int=20, seed=5)
+                             seed=5)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=5)
         votes = []
         last_batch = []
@@ -467,24 +478,21 @@ class TestTrain:
 
     def test_bits_mismatch_rejected(self):
         dataset = gen_synthetic(N=120, D=8, C=4, seed=0)
-        config = TrainConfig(bits=16, epochs=1, batch_size=40, hidden=(16,),
-                             d_int=20)
+        config = TrainConfig(bits=16, epochs=1, batch_size=40)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
         with pytest.raises(ConfigurationError):
             train(model, config, dataset, gen_hadamard_centers(16, 4))
 
     def test_center_shape_mismatch_rejected(self):
         dataset = gen_synthetic(N=120, D=8, C=4, seed=0)
-        config = TrainConfig(bits=8, epochs=1, batch_size=40, hidden=(16,),
-                             d_int=20)
+        config = TrainConfig(bits=8, epochs=1, batch_size=40)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
         with pytest.raises(DimensionError):
             train(model, config, dataset, gen_hadamard_centers(8, 3))
 
     def test_training_split_must_fill_a_batch(self):
         dataset = gen_synthetic(N=40, D=8, C=4, seed=0, query_frac=0.5)
-        config = TrainConfig(bits=8, epochs=1, batch_size=30, hidden=(16,),
-                             d_int=20)
+        config = TrainConfig(bits=8, epochs=1, batch_size=30)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
         with pytest.raises(ConfigurationError):
             train(model, config, dataset, gen_hadamard_centers(8, 4))
