@@ -19,6 +19,9 @@ from .errors import (
     LabelError,
 )
 
+# Candidate sets drawn by `gen_bernoulli_centers` unless told otherwise.
+BERNOULLI_TRIALS = 100
+
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -46,12 +49,15 @@ class LabelSet:
         return c in self.classes
 
 
-def label_incidence(labels, C):
+def label_incidence(labels, C=None):
     """Label sets -> N x C boolean table, True where a sample carries a
-    class; column-major, so one class is one contiguous column."""
+    class; column-major, so one class is one contiguous column. C
+    defaults to the largest class + 1."""
     sets = [l if isinstance(l, LabelSet) else LabelSet(l) for l in labels]
     classes = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
     rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    if C is None:
+        C = int(classes.max(initial=-1)) + 1
     out = np.flatnonzero(classes >= C)
     if out.size:
         n = int(rows[out[0]])
@@ -112,7 +118,7 @@ def gen_hadamard_centers(B, C):
     return HashCenterSet(codes=(H[:C] > 0).astype(np.uint8), epoch=0)
 
 
-def gen_bernoulli_centers(B, C, seed, trials=100):
+def gen_bernoulli_centers(B, C, seed, trials=BERNOULLI_TRIALS):
     """Best of `trials` i.i.d. Bern(0.5) codeword sets by minimum
     pairwise Hamming distance; ties keep the earliest trial."""
     if B < 1 or C < 1 or trials < 1:
@@ -176,10 +182,11 @@ def assign_target(labels, centers, seed):
     return target
 
 
-def update_centers(hashes, labels, C, epoch=0):
+def update_centers(hashes, Y, epoch=0):
     """Recompute every class center from a full-pass matrix of hash outputs.
 
-    Each row of `hashes` is mapped to [-1, 1] via f(x) = 2x - 1 and
+    `Y` is the N x C 0/1 label table (`multi_hot`), one row per hash
+    row. Each row of `hashes` is mapped to [-1, 1] via f(x) = 2x - 1 and
     contributes with weight 1/|l_n| to every class in its label set.
     The paper takes the class mean of those terms and thresholds it at
     0, with 0 itself mapping to 1. Dividing by a positive count cannot
@@ -187,15 +194,19 @@ def update_centers(hashes, labels, C, epoch=0):
     whatever the divisor: the group size |G_c| or the weight sum.
     """
     H = np.asarray(hashes, dtype=np.float64)
-    if H.ndim != 2:
-        raise DimensionError(f"hashes must be 2-D, got ndim={H.ndim}")
-    if H.shape[0] != len(labels):
+    Y = np.asarray(Y, dtype=np.float64)
+    if H.ndim != 2 or Y.ndim != 2 or H.shape[0] != Y.shape[0]:
         raise DimensionError(
-            f"{H.shape[0]} hash rows vs {len(labels)} label sets"
+            f"need 2-D hashes and label table with equal rows, got "
+            f"{H.shape} and {Y.shape}"
         )
     if not np.all(np.isfinite(H)):
         raise DimensionError("hashes contain non-finite entries")
-    Y = label_incidence(labels, C).astype(np.float64, order="C")
+    if not ((Y == 0) | (Y == 1)).all():
+        raise DimensionError("label table entries must be 0 or 1")
+    empty = np.flatnonzero(~Y.any(axis=1))
+    if empty.size:
+        raise LabelError(f"sample {empty[0]} has no class")
     missing = np.flatnonzero(~Y.any(axis=0))
     if missing.size:
         raise CoverageError(f"class {missing[0]} has no samples")

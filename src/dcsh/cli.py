@@ -14,6 +14,7 @@ import sys
 
 from . import __version__, formats
 from .centers import (
+    BERNOULLI_TRIALS,
     gen_bernoulli_centers,
     gen_hadamard_centers,
     min_pairwise_distance,
@@ -39,6 +40,7 @@ from .network import (
     train,
 )
 from .retrieval import (
+    SAME_CLASS,
     PackedCodeIndex,
     map_at_k,
     pack_codes,
@@ -128,7 +130,8 @@ def _build_parser():
     opt("--bits", int, required_flag=True)
     opt("--classes", int, required_flag=True)
     opt("--seed", int, default=0)
-    opt("--trials", int, default=100, help="Bernoulli candidate sets")
+    opt("--trials", int, default=BERNOULLI_TRIALS,
+        help="Bernoulli candidate sets")
     opt("--out", str, required_flag=True, help="center file path")
 
     _, opt = command("train", "train a model on a dataset")
@@ -153,7 +156,8 @@ def _build_parser():
     opt("--hidden", _parse_hidden, default=DEFAULT_HIDDEN,
         help="extractor widths, comma separated")
     opt("--d-int", int, help="intermediate width, default max(4C, 128)")
-    opt("--trials", int, default=100, help="Bernoulli trials when generating")
+    opt("--trials", int, default=BERNOULLI_TRIALS,
+        help="Bernoulli trials when generating")
 
     _, opt = command("encode", "binarize a split to code files")
     opt("--model", str, required_flag=True)
@@ -168,7 +172,7 @@ def _build_parser():
     opt("--query-codes", str, required_flag=True, help="text code file")
     opt("--labels", str, required_flag=True)
     opt("--k", int, default=5000)
-    opt("--rule", str, default="same-class",
+    opt("--rule", str, default=SAME_CLASS,
         help="same-class or share-any-label")
     opt("--out", str, required_flag=True, help="output directory")
 
@@ -176,7 +180,7 @@ def _build_parser():
     opt("--gallery-codes", str, required_flag=True)
     opt("--query-codes", str, required_flag=True)
     opt("--labels", str, required_flag=True)
-    opt("--rule", str, default="same-class")
+    opt("--rule", str, default=SAME_CLASS)
     opt("--out", str, required_flag=True)
 
     _, opt = command("query", "rank a gallery against one code")
@@ -248,7 +252,7 @@ def _cmd_gen_centers(args):
 def _cmd_train(args):
     dataset = formats.load_dataset(args.features, args.labels, args.splits)
     config = TrainConfig(
-        bits=args.bits, epochs=args.epochs, batch_size=args.batch,
+        epochs=args.epochs, batch_size=args.batch,
         lr=args.lr, lr_decay=args.lr_decay, decay_every=args.decay_every,
         alpha_mode=args.alpha_mode, alpha_override=args.alpha_override,
         reg=args.reg, clamp=args.clamp, momentum=args.momentum,
@@ -261,11 +265,11 @@ def _cmd_train(args):
             args.bits, dataset.C, args.seed, args.trials
         )
     model = build_model(
-        D=dataset.D, C=dataset.C, bits=config.bits,
+        D=dataset.D, C=dataset.C, bits=args.bits,
         hidden=args.hidden, d_int=args.d_int, seed=config.seed,
     )
-    os.makedirs(args.out, exist_ok=True)
     model, history, curves = train(model, config, dataset, centers0)
+    os.makedirs(args.out, exist_ok=True)
     formats.write_model(os.path.join(args.out, "model.bin"), model.layers)
     for centers in history:
         formats.write_centers(
@@ -283,8 +287,10 @@ def _cmd_train(args):
 
 
 def _cmd_encode(args):
-    layers = formats.read_model(args.model)
-    model = DcshModel(layers, n_extractor=len(layers) - 3)
+    try:
+        model = DcshModel(formats.read_model(args.model))
+    except (ConfigurationError, DimensionError) as exc:
+        raise ParseError(args.model, str(exc)) from None
     X = formats.read_features(args.features)
     tags = formats.read_split(args.splits)
     if len(tags) != X.shape[0]:

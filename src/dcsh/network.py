@@ -37,18 +37,15 @@ def _sigmoid(z):
 class DcshModel:
     """Affine layers with a fixed activation pattern.
 
-    layers[:n_extractor] are ReLU extractor stages, then come the
+    layers[:-3] are the n_extractor ReLU extractor stages, then come the
     sigmoid hashing layer, the ReLU intermediate layer, and the sigmoid
     classification layer. `version` counts parameter updates so stale
     forward caches are detected.
     """
 
-    def __init__(self, layers, n_extractor):
-        if len(layers) != n_extractor + 3:
-            raise ConfigurationError(
-                f"{len(layers)} layers cannot split into {n_extractor} "
-                "extractor stages plus hashing/intermediate/classification"
-            )
+    def __init__(self, layers):
+        if len(layers) < 3:
+            raise DimensionError(f"model has {len(layers)} layers, need >= 3")
         self.layers = [
             (np.array(W, dtype=np.float64), np.array(b, dtype=np.float64))
             for W, b in layers
@@ -61,7 +58,7 @@ class DcshModel:
                 raise DimensionError(
                     f"layer {idx} output does not feed layer {idx + 1}"
                 )
-        self.n_extractor = n_extractor
+        self.n_extractor = len(self.layers) - 3
         if self.D_int <= self.C:
             raise ConfigurationError(
                 f"intermediate width {self.D_int} must exceed C={self.C}"
@@ -105,7 +102,7 @@ def build_model(D, C, bits, hidden=DEFAULT_HIDDEN, d_int=None, seed=0):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         W = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         layers.append((W, np.zeros(fan_out)))
-    return DcshModel(layers, n_extractor=len(hidden))
+    return DcshModel(layers)
 
 
 @dataclass
@@ -233,7 +230,6 @@ def learning_rate(lr_initial, decay, every, epoch):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    bits: int
     epochs: int
     batch_size: int = 200
     lr: float = 3e-4
@@ -247,14 +243,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bits < 2:
-            raise ConfigurationError(f"need at least 2 bits, got {self.bits}")
         if self.epochs < 1:
             raise ConfigurationError(f"need at least 1 epoch, got {self.epochs}")
-        if self.batch_size <= self.bits:
-            raise ConfigurationError(
-                f"batch of {self.batch_size} must exceed B={self.bits}"
-            )
         if self.lr <= 0:
             raise ConfigurationError(f"learning rate must be > 0, got {self.lr}")
         if not 0.0 < self.lr_decay <= 1.0:
@@ -296,11 +286,9 @@ def train(model, config, dataset, centers0):
     computed just before that update. Returns (model, center history,
     curves) where curves rows are (epoch, train_loss, test_loss or None).
     """
-    B, C = config.bits, dataset.C
-    if model.B != B:
-        raise ConfigurationError(
-            f"model emits {model.B} bits, config says {B}"
-        )
+    B, C = model.B, dataset.C
+    if B < 2:
+        raise ConfigurationError(f"need at least 2 bits, got {B}")
     if model.C != C or model.D != dataset.D:
         raise DimensionError(
             f"model ({model.D} -> {model.C}) does not fit dataset "
@@ -311,8 +299,8 @@ def train(model, config, dataset, centers0):
             f"centers are {centers0.C} x {centers0.B}, need {C} x {B}"
         )
     M = config.batch_size
-    if M <= C:
-        raise ConfigurationError(f"batch of {M} must exceed C={C}")
+    if M <= max(B, C):
+        raise ConfigurationError(f"batch of {M} must exceed B={B} and C={C}")
     train_idx = dataset.train_indices
     if train_idx.shape[0] < M:
         raise ConfigurationError(
@@ -323,8 +311,7 @@ def train(model, config, dataset, centers0):
     has_test = query_idx.shape[0] > max(B, C)
     n_train = train_idx.shape[0]
     rows = np.concatenate([train_idx, query_idx]) if has_test else train_idx
-    labels = [dataset.labels[int(i)] for i in rows]
-    Y_c_all = multi_hot(labels, C)
+    Y_c_all = multi_hot([dataset.labels[int(i)] for i in rows], C)
     missing = np.flatnonzero(~Y_c_all[:n_train].any(axis=0))
     if missing.size:
         raise CoverageError(f"class {missing[0]} has no training samples")
@@ -380,9 +367,7 @@ def train(model, config, dataset, centers0):
                 alpha_value, config.reg, config.clamp,
             )
         x_h_full, _ = predict(model, X_train)
-        centers = update_centers(
-            x_h_full, labels[:n_train], C, epoch=epoch + 1
-        )
+        centers = update_centers(x_h_full, Y_c_all[:n_train], epoch=epoch + 1)
         history.append(centers)
         curves.append((epoch, train_loss, test_loss))
     return model, history, curves

@@ -105,15 +105,12 @@ class PackedCodeIndex:
             raise ConfigurationError("gallery ids must be unique")
         self.incidence = self.single_label = None
         if labels is not None:
-            labels = tuple(
-                l if isinstance(l, LabelSet) else LabelSet(l) for l in labels
-            )
+            labels = tuple(labels)
             if len(labels) != self.words.shape[0]:
                 raise DimensionError("labels must align with code rows")
-            C = 1 + max((l.classes[-1] for l in labels), default=-1)
-            self.incidence = label_incidence(labels, C)
+            self.incidence = label_incidence(labels)
             self.incidence.setflags(write=False)
-            self.single_label = all(len(l) == 1 for l in labels)
+            self.single_label = bool((self.incidence.sum(axis=1) == 1).all())
         self.labels = labels
         self.words.setflags(write=False)
         self.ids.setflags(write=False)

@@ -16,6 +16,7 @@ from dcsh import formats
 from dcsh.cca import alpha, dcsh_lower_bound, k_max
 from dcsh.centers import LabelSet, gen_hadamard_centers, update_centers
 from dcsh.cli import main
+from dcsh.data import multi_hot
 from dcsh.network import finite_difference_report
 from dcsh.retrieval import average_precision, hamming
 
@@ -167,7 +168,7 @@ def test_center_update_matches_oracle():
             size = int(rng.integers(1, min(C, 3) + 1))
             labels.append(LabelSet(rng.choice(C, size=size, replace=False)))
         # The mean's divisor is positive, so both must give the same bits.
-        got = update_centers(hashes, labels, C)
+        got = update_centers(hashes, multi_hot(labels, C))
         if not (np.array_equal(got.codes, oracle(hashes, labels, C, False))
                 and np.array_equal(got.codes, oracle(hashes, labels, C, True))):
             mismatches += 1
@@ -175,11 +176,11 @@ def test_center_update_matches_oracle():
     base = rng.integers(0, 2, size=(4, 12), dtype=np.uint8)
     rep = np.repeat(base, 3, axis=0).astype(np.float64)
     rep_labels = [LabelSet([c]) for c in np.repeat(np.arange(4), 3)]
-    fixed = update_centers(rep, rep_labels, 4)
+    fixed = update_centers(rep, multi_hot(rep_labels, 4))
     fixed_ok = np.array_equal(fixed.codes, base)
     # planted tie: means of exactly zero must come out as bit 1
     tie = update_centers(np.array([[0.5, 1.0], [0.5, 0.0]]),
-                         [LabelSet([0]), LabelSet([0])], 1)
+                         multi_hot([LabelSet([0]), LabelSet([0])], 1))
     tie_ok = np.array_equal(tie.codes, [[1, 1]])
     ok = mismatches == 0 and fixed_ok and tie_ok
     check(ok, f"center update vs brute-force oracle: {100 - mismatches}/100 "

@@ -9,9 +9,11 @@ from dcsh.centers import (
     assign_target,
     gen_bernoulli_centers,
     gen_hadamard_centers,
+    label_incidence,
     min_pairwise_distance,
     update_centers,
 )
+from dcsh.data import multi_hot
 from dcsh.errors import (
     ConfigurationError,
     CoverageError,
@@ -196,15 +198,13 @@ class TestAssignTarget:
 class TestUpdateCenters:
     def test_single_label_hand_case(self):
         hashes = np.array([[0.9, 0.2], [0.7, 0.4]])
-        labels = [[0], [0]]
-        cs = update_centers(hashes, labels, C=1)
+        cs = update_centers(hashes, multi_hot([[0], [0]], 1))
         # means: (0.8+0.4)/2 = 0.6 -> 1, (-0.6-0.2)/2 = -0.4 -> 0
         np.testing.assert_array_equal(cs.codes, [[1, 0]])
 
     def test_multi_label_weighting(self):
         hashes = np.array([[0.9, 0.9], [0.3, 0.9]])
-        labels = [[0], [0, 1]]
-        cs = update_centers(hashes, labels, C=2)
+        cs = update_centers(hashes, multi_hot([[0], [0, 1]], 2))
         # class 0: ((2*0.9-1) + 0.5*(2*0.3-1))/2 = 0.3 -> 1
         #          ((2*0.9-1) + 0.5*(2*0.9-1))/2 = 0.6 -> 1
         np.testing.assert_array_equal(cs.codes[0], [1, 1])
@@ -213,8 +213,7 @@ class TestUpdateCenters:
 
     def test_zero_mean_maps_to_one(self):
         hashes = np.array([[1.0, 0.0], [0.0, 1.0]])
-        labels = [[0], [0]]
-        cs = update_centers(hashes, labels, C=1)
+        cs = update_centers(hashes, multi_hot([[0], [0]], 1))
         # both bits average to exactly 0 -> threshold keeps 1
         np.testing.assert_array_equal(cs.codes, [[1, 1]])
 
@@ -225,7 +224,7 @@ class TestUpdateCenters:
             centers = rng.integers(0, 2, size=(C, B), dtype=np.uint8)
             hashes = np.repeat(centers, per, axis=0).astype(np.float64)
             labels = [[c] for c in np.repeat(np.arange(C), per)]
-            cs = update_centers(hashes, labels, C=C, epoch=3)
+            cs = update_centers(hashes, multi_hot(labels, C), epoch=3)
             np.testing.assert_array_equal(cs.codes, centers)
             assert cs.epoch == 3
 
@@ -239,11 +238,10 @@ class TestUpdateCenters:
         ]
         for c in range(C):
             labels[c] = [c]  # guarantee coverage
-        base = update_centers(hashes, labels, C=C)
+        Y = multi_hot(labels, C)
+        base = update_centers(hashes, Y)
         perm = rng.permutation(N)
-        shuffled = update_centers(
-            hashes[perm], [labels[i] for i in perm], C=C
-        )
+        shuffled = update_centers(hashes[perm], Y[perm])
         np.testing.assert_array_equal(base.codes, shuffled.codes)
 
     def test_matches_brute_force_oracle(self):
@@ -262,7 +260,7 @@ class TestUpdateCenters:
                                   replace=False))
                 for _ in range(N - C)
             ]
-            got = update_centers(hashes, labels, C=C)
+            got = update_centers(hashes, multi_hot(labels, C))
             # Group size or weight sum: a positive divisor keeps the sign.
             for normalized in (False, True):
                 want = brute_force_update(
@@ -273,14 +271,72 @@ class TestUpdateCenters:
     def test_missing_class_named(self):
         hashes = np.array([[0.5, 0.5]])
         with pytest.raises(CoverageError) as err:
-            update_centers(hashes, [[0]], C=3)
+            update_centers(hashes, multi_hot([[0]], 3))
         assert "class 1" in str(err.value)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            update_centers(np.zeros((2, 4)), [[0]], C=1)
+            update_centers(np.zeros((2, 4)), multi_hot([[0]], 1))
 
     def test_non_finite_rejected(self):
         hashes = np.array([[0.5, np.nan]])
         with pytest.raises(DimensionError):
-            update_centers(hashes, [[0]], C=1)
+            update_centers(hashes, multi_hot([[0]], 1))
+
+    @pytest.mark.parametrize("hashes, Y", [
+        (np.zeros(4), np.ones((4, 1))),
+        (np.zeros((1, 4)), np.ones(1)),
+    ])
+    def test_one_dimensional_input_rejected(self, hashes, Y):
+        with pytest.raises(DimensionError, match="equal rows"):
+            update_centers(hashes, Y)
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    def test_non_binary_table_rejected(self, bad):
+        Y = multi_hot([[0], [1]], 2)
+        Y[1, 1] = bad
+        with pytest.raises(DimensionError, match="0 or 1"):
+            update_centers(np.full((2, 3), 0.5), Y)
+
+    def test_row_without_class_rejected(self):
+        Y = multi_hot([[0], [1], [0]], 2)
+        Y[2] = 0.0
+        with pytest.raises(LabelError, match="sample 2"):
+            update_centers(np.full((3, 3), 0.5), Y)
+
+    def test_uncovered_class_rejected(self):
+        Y = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(CoverageError, match="class 1"):
+            update_centers(np.full((2, 3), 0.5), Y)
+
+    def test_bool_and_float_tables_agree(self):
+        rng = np.random.default_rng(29)
+        hashes = rng.random((40, 9))
+        labels = [[c] for c in range(5)] + [
+            sorted(rng.choice(5, size=2, replace=False)) for _ in range(35)
+        ]
+        table = label_incidence(labels, 5)
+        assert table.dtype == bool
+        np.testing.assert_array_equal(
+            update_centers(hashes, table).codes,
+            update_centers(hashes, multi_hot(labels, 5)).codes,
+        )
+
+
+class TestLabelIncidence:
+    def test_width_defaults_to_largest_class(self):
+        table = label_incidence([[0], [3, 1]])
+        assert table.shape == (2, 4)
+        np.testing.assert_array_equal(
+            table, [[1, 0, 0, 0], [0, 1, 0, 1]]
+        )
+        assert label_incidence([[2]], C=5).shape == (1, 5)
+
+    def test_empty_has_no_columns(self):
+        assert label_incidence([]).shape == (0, 0)
+
+    def test_sets_still_validated(self):
+        with pytest.raises(LabelError):
+            label_incidence([[0], []])
+        with pytest.raises(LabelError):
+            label_incidence([[1, 1]])

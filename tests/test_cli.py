@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from dcsh import __version__, formats
+from dcsh.centers import BERNOULLI_TRIALS
 from dcsh.cli import _build_parser, main
 from dcsh.network import DEFAULT_HIDDEN, TrainConfig
-from dcsh.retrieval import unpack_codes
+from dcsh.retrieval import SAME_CLASS, unpack_codes
 
 
 @pytest.fixture(scope="module")
@@ -261,11 +262,21 @@ class TestTrainDefaults:
     def test_flags_default_to_train_config(self):
         top, _ = _build_parser()
         args = vars(top.parse_args(["train"]))
-        config = TrainConfig(bits=32, epochs=50)
+        config = TrainConfig(epochs=50)
         for field in dataclasses.fields(TrainConfig):
             dest = "batch" if field.name == "batch_size" else field.name
             assert args[dest] == getattr(config, field.name), field.name
         assert args["hidden"] == DEFAULT_HIDDEN
+
+    @pytest.mark.parametrize("command, dest, want", [
+        ("gen-centers", "trials", BERNOULLI_TRIALS),
+        ("train", "trials", BERNOULLI_TRIALS),
+        ("eval-map", "rule", SAME_CLASS),
+        ("eval-pr", "rule", SAME_CLASS),
+    ])
+    def test_flags_default_to_library_constants(self, command, dest, want):
+        top, _ = _build_parser()
+        assert getattr(top.parse_args([command]), dest) == want
 
 
 class TestCenterGeneratorChoice:
@@ -383,6 +394,63 @@ class TestExitCodes:
         ]) == 1
         assert "widths must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda layers: [],
+        lambda layers: layers[-1:],
+        lambda layers: layers[-2:],
+        lambda layers: [layers[0], (layers[1][0][1:], layers[1][1]),
+                        *layers[2:]],
+        lambda layers: [*layers[:2], (np.zeros((8, 3)), np.zeros(3)),
+                        (np.zeros((3, 4)), np.zeros(4))],
+    ], ids=["0-layers", "1-layer", "2-layers", "broken-chain",
+            "narrow-intermediate"])
+    def test_malformed_model_is_a_data_error(self, pipeline, tmp_path,
+                                             capsys, damage):
+        layers = damage(formats.read_model(pipeline / "run" / "model.bin"))
+        model = tmp_path / "model.bin"
+        formats.write_model(model, layers)
+        out = tmp_path / "out"
+        assert main([
+            "encode", "--model", str(model),
+            "--features", str(pipeline / "data" / "features.bin"),
+            "--splits", str(pipeline / "data" / "splits.txt"),
+            "--out", str(out),
+        ]) == 2
+        assert f"{model}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def train_fails_without_output(self, pipeline, out, flags, code, capsys):
+        data = pipeline / "data"
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"),
+            "--out", str(out), "--bits", "8", "--batch", "44",
+            "--epochs", "1", "--hidden", "16", "--d-int", "20", *flags,
+        ]) == code
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--bits", "1"],
+        ["--batch", "8"],
+        ["--batch", "200"],  # the training split has 176 rows
+    ])
+    def test_rejected_train_config_leaves_no_run_directory(
+            self, pipeline, tmp_path, capsys, flags):
+        self.train_fails_without_output(
+            pipeline, tmp_path / "out", flags, 1, capsys
+        )
+
+    def test_center_shape_mismatch_leaves_no_run_directory(
+            self, pipeline, tmp_path, capsys):
+        five = tmp_path / "five.txt"
+        assert main(["gen-centers", "--bits", "8", "--classes", "5",
+                     "--out", str(five)]) == 0
+        self.train_fails_without_output(
+            pipeline, tmp_path / "out", ["--centers", str(five)], 2, capsys
+        )
 
     def test_unknown_encode_split(self, pipeline, tmp_path, capsys):
         assert main([

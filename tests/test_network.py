@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from dcsh import network
+from dcsh import formats, network
 from dcsh.cca import cca_loss, dcsh_loss, dcsh_lower_bound, k_max
-from dcsh.centers import assign_target, gen_hadamard_centers, update_centers
+from dcsh.centers import (
+    HashCenterSet,
+    assign_target,
+    gen_hadamard_centers,
+    update_centers,
+)
 from dcsh.data import gen_synthetic, multi_hot
 from dcsh.errors import (
     ConfigurationError,
@@ -70,7 +75,7 @@ class TestModelShape:
             (np.zeros((3, 3)), np.zeros(3)),
         ]
         with pytest.raises(ConfigurationError):
-            DcshModel(layers, n_extractor=0)
+            DcshModel(layers)
 
     @pytest.mark.parametrize("kwargs", [
         {"hidden": (8, 0)},
@@ -83,6 +88,24 @@ class TestModelShape:
         with pytest.raises(ConfigurationError, match="widths must be >= 1"):
             build_model(**args)
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewer_than_three_layers_rejected(self, count):
+        layers = [
+            (np.zeros((6, 4)), np.zeros(4)),
+            (np.zeros((4, 12)), np.zeros(12)),
+        ][:count]
+        with pytest.raises(DimensionError, match=f"{count} layers"):
+            DcshModel(layers)
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 8)])
+    def test_depth_read_from_layers(self, tmp_path, hidden):
+        built = build_model(D=6, C=3, bits=4, hidden=hidden, d_int=12)
+        path = tmp_path / "model.bin"
+        formats.write_model(path, built.layers)
+        m = DcshModel(formats.read_model(path))
+        assert m.n_extractor == built.n_extractor == len(hidden)
+        assert (m.D, m.B, m.D_int, m.C) == (6, 4, 12, 3)
+
     def test_mismatched_chain_rejected(self):
         layers = [
             (np.zeros((6, 4)), np.zeros(4)),
@@ -90,7 +113,7 @@ class TestModelShape:
             (np.zeros((12, 3)), np.zeros(3)),
         ]
         with pytest.raises(DimensionError):
-            DcshModel(layers, n_extractor=0)
+            DcshModel(layers)
 
 
 class TestForward:
@@ -100,7 +123,7 @@ class TestForward:
             (np.zeros((4, 12)), np.zeros(12)),
             (np.zeros((12, 3)), np.zeros(3)),
         ]
-        m = DcshModel(layers, n_extractor=0)
+        m = DcshModel(layers)
         x_h, x_c, _ = forward(m, np.ones((5, 6)))
         np.testing.assert_array_equal(x_h, np.full((5, 4), 0.5))
         np.testing.assert_array_equal(x_c, np.full((5, 3), 0.5))
@@ -112,7 +135,7 @@ class TestForward:
             (np.zeros((1, 3)), np.zeros(3)),
             (np.zeros((3, 2)), np.zeros(2)),
         ]
-        m = DcshModel(layers, n_extractor=0)
+        m = DcshModel(layers)
         x_h, _, _ = forward(m, np.array([[3.0, 1.0]]))
         assert abs(x_h[0, 0] - 1.0 / (1.0 + np.exp(-2.0))) < 1e-15
         assert abs(x_h[0, 0] - 0.8808) < 1e-4
@@ -130,7 +153,7 @@ class TestForward:
             (np.ones((1, 3)), np.zeros(3)),
             (np.ones((3, 2)), np.zeros(2)),
         ]
-        m = DcshModel(layers, n_extractor=0)
+        m = DcshModel(layers)
         x_h, x_c, _ = forward(m, np.array([[-1000.0], [1000.0]]))
         assert np.all(np.isfinite(x_h)) and np.all(np.isfinite(x_c))
         assert x_h[0, 0] == 0.0 and x_h[1, 0] == 1.0
@@ -225,7 +248,7 @@ class TestSgdStep:
             (np.ones((1, 3)), np.zeros(3)),
             (np.ones((3, 2)), np.zeros(2)),
         ]
-        return DcshModel(layers, n_extractor=0)
+        return DcshModel(layers)
 
     def zero_grads(self, m):
         return [(np.zeros_like(W), np.zeros_like(b)) for W, b in m.layers]
@@ -310,24 +333,24 @@ class TestBinarize:
 
 class TestTrainConfig:
     def test_defaults(self):
-        cfg = TrainConfig(bits=32, epochs=5)
+        cfg = TrainConfig(epochs=5)
         assert cfg.batch_size == 200 and cfg.lr == 3e-4
         assert cfg.alpha_mode == "emphasized" and cfg.alpha_override is None
 
     @pytest.mark.parametrize("kwargs", [
-        {"bits": 1, "epochs": 5},
-        {"bits": 32, "epochs": 0},
-        {"bits": 32, "epochs": 5, "batch_size": 32},
-        {"bits": 32, "epochs": 5, "lr": 0.0},
-        {"bits": 32, "epochs": 5, "lr_decay": 0.0},
-        {"bits": 32, "epochs": 5, "lr_decay": 1.5},
-        {"bits": 32, "epochs": 5, "decay_every": 0},
-        {"bits": 32, "epochs": 5, "momentum": 1.0},
-        {"bits": 32, "epochs": 5, "alpha_mode": "balanced"},
-        {"bits": 32, "epochs": 5, "alpha_override": -1.0},
-        {"bits": 32, "epochs": 5, "reg": -1.0},
-        {"bits": 32, "epochs": 5, "clamp": 0.0},
-        {"bits": 32, "epochs": 5, "clamp": -1e-8},
+        {"epochs": 5, "lr": -1e-3},
+        {"epochs": 0},
+        {"epochs": 5, "momentum": -0.1},
+        {"epochs": 5, "lr": 0.0},
+        {"epochs": 5, "lr_decay": 0.0},
+        {"epochs": 5, "lr_decay": 1.5},
+        {"epochs": 5, "decay_every": 0},
+        {"epochs": 5, "momentum": 1.0},
+        {"epochs": 5, "alpha_mode": "balanced"},
+        {"epochs": 5, "alpha_override": -1.0},
+        {"epochs": 5, "reg": -1.0},
+        {"epochs": 5, "clamp": 0.0},
+        {"epochs": 5, "clamp": -1e-8},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -337,7 +360,7 @@ class TestTrainConfig:
 def small_run(seed=0, epochs=3, **kwargs):
     dataset = gen_synthetic(N=220, D=8, C=4, B_separation=6.0, seed=seed,
                             query_frac=0.2)
-    config = TrainConfig(bits=8, epochs=epochs, batch_size=44, lr=1e-3,
+    config = TrainConfig(epochs=epochs, batch_size=44, lr=1e-3,
                          seed=seed, **kwargs)
     model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=seed)
     centers0 = gen_hadamard_centers(8, 4)
@@ -385,7 +408,7 @@ class TestTrain:
     def test_no_test_loss_for_tiny_query_split(self):
         dataset = gen_synthetic(N=110, D=8, C=4, seed=0, query_frac=0.05)
         assert dataset.query_indices.shape[0] <= 8
-        config = TrainConfig(bits=8, epochs=2, batch_size=35, lr=1e-3,
+        config = TrainConfig(epochs=2, batch_size=35, lr=1e-3,
                              seed=0)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=0)
         _, _, curves = train(model, config, dataset, gen_hadamard_centers(8, 4))
@@ -422,7 +445,7 @@ class TestTrain:
                 grads = backward(ref, cache, g_xh, np.zeros_like(x_c))
                 sgd_step(ref, grads, lr)
             x_h_full, _, _ = forward(ref, X_train)
-            centers = update_centers(x_h_full, labels_train, 4,
+            centers = update_centers(x_h_full, multi_hot(labels_train, 4),
                                      epoch=epoch + 1)
         for (W1, b1), (W2, b2) in zip(model.layers, ref.layers):
             np.testing.assert_array_equal(W1, W2)
@@ -437,7 +460,7 @@ class TestTrain:
         sets = {dataset.labels[int(i)].classes for i in rows}
         assert any(len(s) == 2 for s in sets)
         epochs = 3
-        config = TrainConfig(bits=8, epochs=epochs, batch_size=40, lr=1e-3,
+        config = TrainConfig(epochs=epochs, batch_size=40, lr=1e-3,
                              seed=5)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=5)
         votes = []
@@ -476,23 +499,34 @@ class TestTrain:
             ], dtype=np.float64)
             np.testing.assert_array_equal(Y_h, want)
 
-    def test_bits_mismatch_rejected(self):
+    def test_single_bit_rejected(self):
         dataset = gen_synthetic(N=120, D=8, C=4, seed=0)
-        config = TrainConfig(bits=16, epochs=1, batch_size=40)
+        config = TrainConfig(epochs=1, batch_size=40)
+        model = build_model(D=8, C=4, bits=1, hidden=(16,), d_int=20)
+        centers0 = HashCenterSet(np.array([[0], [1], [0], [1]]))
+        with pytest.raises(ConfigurationError, match="at least 2 bits"):
+            train(model, config, dataset, centers0)
+
+    @pytest.mark.parametrize("batch", [8, 6])
+    def test_batch_must_exceed_bits(self, batch):
+        # 8 bits over C = 4 classes: batches of 5-8 rows pass the class
+        # bound and only the bit bound rejects them
+        dataset = gen_synthetic(N=120, D=8, C=4, seed=0)
+        config = TrainConfig(epochs=1, batch_size=batch)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
-        with pytest.raises(ConfigurationError):
-            train(model, config, dataset, gen_hadamard_centers(16, 4))
+        with pytest.raises(ConfigurationError, match="must exceed B=8 and C=4"):
+            train(model, config, dataset, gen_hadamard_centers(8, 4))
 
     def test_center_shape_mismatch_rejected(self):
         dataset = gen_synthetic(N=120, D=8, C=4, seed=0)
-        config = TrainConfig(bits=8, epochs=1, batch_size=40)
+        config = TrainConfig(epochs=1, batch_size=40)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
         with pytest.raises(DimensionError):
             train(model, config, dataset, gen_hadamard_centers(8, 3))
 
     def test_training_split_must_fill_a_batch(self):
         dataset = gen_synthetic(N=40, D=8, C=4, seed=0, query_frac=0.5)
-        config = TrainConfig(bits=8, epochs=1, batch_size=30)
+        config = TrainConfig(epochs=1, batch_size=30)
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
         with pytest.raises(ConfigurationError):
             train(model, config, dataset, gen_hadamard_centers(8, 4))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcsh.centers import LabelSet
 from dcsh.errors import ConfigurationError, DimensionError, LabelError
 from dcsh.retrieval import (
     PackedCodeIndex,
@@ -119,6 +120,30 @@ class TestPackedCodeIndex:
         idx = PackedCodeIndex.from_bits(np.zeros((2, 5), dtype=np.uint8), [0, 1])
         with pytest.raises(ValueError):
             idx.words[0, 0] = 1
+
+    @pytest.mark.parametrize("labels, single", [
+        ([[2], [0], [2]], True),
+        ([[0, 3], [1], [3, 0]], False),
+        ([], True),
+    ])
+    def test_label_facts_from_lists_or_label_sets(self, labels, single):
+        bits = np.zeros((len(labels), 4), dtype=np.uint8)
+        ids = np.arange(len(labels))
+        plain = PackedCodeIndex.from_bits(bits, ids, labels=labels)
+        sets = PackedCodeIndex.from_bits(
+            bits, ids, labels=[LabelSet(l) for l in labels]
+        )
+        assert plain.single_label is sets.single_label is single
+        np.testing.assert_array_equal(plain.incidence, sets.incidence)
+        width = 1 + max((max(l) for l in labels), default=-1)
+        assert plain.incidence.shape == (len(labels), width)
+
+    def test_invalid_label_set_rejected(self):
+        bits = np.zeros((2, 4), dtype=np.uint8)
+        with pytest.raises(LabelError):
+            PackedCodeIndex.from_bits(bits, [0, 1], labels=[[0], [1, 1]])
+        with pytest.raises(DimensionError):
+            PackedCodeIndex.from_bits(bits, [0, 1], labels=[[0]])
 
 
 class TestQueryTopk:

@@ -70,7 +70,7 @@ def test_target_resolves(module_name, attr):
 def test_training_reaches_the_timed_targets():
     spans = load_spans()
     dataset = gen_synthetic(N=220, D=8, C=4, seed=0, query_frac=0.2)
-    config = network.TrainConfig(bits=8, epochs=1, batch_size=44, lr=1e-3)
+    config = network.TrainConfig(epochs=1, batch_size=44, lr=1e-3)
     model = network.build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
     with spans.installed(spans.Tracer()) as tracer:
         # looked up at call time, so the call goes through the wrapper
