@@ -53,15 +53,17 @@ def label_incidence(labels, C=None):
     """Label sets -> N x C boolean table, True where a sample carries a
     class; column-major, so one class is one contiguous column. C
     defaults to the largest class + 1."""
-    sets = [l if isinstance(l, LabelSet) else LabelSet(l) for l in labels]
+    sets = [(l if isinstance(l, LabelSet) else LabelSet(l)).classes
+            for l in labels]
     classes = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
-    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    rows = np.repeat(np.arange(len(sets)), counts)
     if C is None:
         C = int(classes.max(initial=-1)) + 1
     out = np.flatnonzero(classes >= C)
     if out.size:
         n = int(rows[out[0]])
-        raise LabelError(f"sample {n} has class index {sets[n].classes[-1]} >= C={C}")
+        raise LabelError(f"sample {n} has class index {sets[n][-1]} >= C={C}")
     table = np.zeros((C, len(sets)), dtype=bool).T
     table[rows, classes] = True
     return table

@@ -42,8 +42,14 @@ def _check_header(path, blob, magic):
 
 
 def _read_lines(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read().splitlines()
+    blob = _read_bytes(path)
+    try:
+        return blob.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((blob[: exc.start].decode("ascii") + "x").splitlines())
+        raise ParseError(
+            path, f"non-ASCII byte {blob[exc.start]:#04x}", line=line
+        ) from None
 
 
 def _write_lines(path, lines):
@@ -241,35 +247,74 @@ def write_codes_text(path, ids, bits):
     _write_lines(path, [f"{i}\t{row}" for i, row in zip(ids.tolist(), rows)])
 
 
+def _code_line_fault(line, B):
+    """What is wrong with one `<id>\\t<bits>` line (bytes, no line end),
+    or None: a missing tab, then a bad id, then a bad codeword."""
+    ident, tab, code = line.partition(b"\t")
+    if not tab:
+        return "expected <id>\\t<bits>"
+    digits = ident[1:] if ident.startswith(b"-") else ident
+    if not (len(digits) <= 19 and digits.isdigit()
+            and -2**63 <= int(ident) < 2**63):
+        return f"bad id {ascii(ident.decode('latin-1'))}"
+    if len(code) != B or code.strip(b"01"):
+        return f"codeword must be {B} chars of 0/1"
+    return None
+
+
 def read_codes_text(path):
-    """`<id>\\t<bits>` lines -> (ids, N x B bits); the first line sets B,
-    ids are distinct, and the first bad line is reported."""
-    lines = _read_lines(path)
-    if not lines:
+    """`<id>\\t<bits>` lines -> (int64 ids, N x B uint8 bits); the first
+    line sets B, ids are distinct, and the first bad line is reported.
+
+    An id is an optional `-` and 1-19 decimal digits within int64; lines
+    end in `\\n` or `\\r\\n`, the last one optionally in neither. The file
+    is checked with array operations, one column of id digits at a time;
+    only the first bad line is decoded alone, to name its fault.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if not buf.size:
         raise ParseError(path, "empty code file", line=1)
-    B = len(lines[0].partition("\t")[2])
-    ids = []
-    codes = []
-    stop = None
-    for ln, text in enumerate(lines, start=1):
-        ident, tab, code = text.partition("\t")
-        if tab != "\t":
-            stop = ParseError(path, "expected <id>\\t<bits>", line=ln)
-            break
-        try:
-            ids.append(int(ident))
-        except ValueError:
-            stop = ParseError(path, f"bad id {ident!r}", line=ln)
-            break
-        codes.append(code)
-    if ids and B == 0:
-        raise ParseError(path, "empty codeword", line=1)
-    bits, bad = _text_to_bits(codes, B)
-    if bad is not None:
-        raise ParseError(path, f"codeword must be {B} chars of 0/1", line=bad + 1)
-    if stop is not None:
-        raise stop
-    ids = np.asarray(ids, dtype=np.int64)
+    lf = np.flatnonzero(buf == ord("\n"))
+    ends = lf - ((lf > 0) & (buf[lf - 1] == ord("\r")))
+    if buf[-1] != ord("\n"):
+        ends = np.append(ends, buf.size)
+    starts = np.append(0, lf[: ends.size - 1] + 1)
+    first = buf[: ends[0]].tobytes()
+    tab = first.find(b"\t")
+    B = len(first) - tab - 1
+    if tab < 0 or B == 0:
+        fault = _code_line_fault(first, 0) or "empty codeword"
+        raise ParseError(path, fault, line=1)
+    # A good line ends in a tab and B codeword bytes.
+    tabs = ends - (B + 1)
+    width = tabs - starts
+    ok = (width >= 1) & (buf[tabs] == ord("\t"))
+    bits = np.lib.stride_tricks.sliding_window_view(buf, B)[tabs + 1]
+    bits -= ord("0")
+    if bits.max() > 1:  # a whole-array max is ten times faster than per row
+        ok &= bits.max(axis=1) <= 1
+    ids = np.zeros(ends.size, dtype=np.uint64)
+    neg = np.zeros(ends.size, dtype=bool)
+    # Column j is the j-th byte left of the tab. It may be a digit up to
+    # j = 19, or the `-` that starts an id of two or more bytes; so an id
+    # of more than 20 bytes fails at j = 20, and no further column is read.
+    for j in range(1, min(int(width.max()), 20) + 1):
+        c = buf.take(tabs - j, mode="clip")
+        live = width >= j
+        digit = c - ord("0")
+        is_digit = live & (digit <= 9) & (j < 20)
+        sign = live & (c == ord("-")) & (width == j) & (j > 1)
+        ok &= ~live | is_digit | sign
+        ids += np.where(is_digit, digit, 0) * np.uint64(10 ** (j - 1))
+        neg |= sign
+    ok &= ids <= np.uint64(2**63 - 1) + neg
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        n = int(bad[0])
+        line = buf[starts[n]:ends[n]].tobytes()
+        raise ParseError(path, _code_line_fault(line, B), line=n + 1)
+    np.negative(ids, out=ids, where=neg)
+    ids = ids.view(np.int64)
     order = np.argsort(ids, kind="stable")
     repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
     if repeats.size:

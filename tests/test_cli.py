@@ -476,6 +476,34 @@ class TestExitCodes:
         ]) == 2
         assert f"{gallery}:3: duplicate id 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [
+        (b"0\t1010\n1\t10\xe90\n", ":2: codeword must be 4 chars of 0/1"),
+        (b"0\t1010\n\xe91\t1010\n", ":2: bad id '\\xe91'"),
+        (b"9223372036854775808\t1010\n", ":1: bad id '9223372036854775808'"),
+    ], ids=["non-ascii-codeword", "non-ascii-id", "id-above-int64"])
+    def test_unreadable_code_file_is_a_data_error(self, tmp_path, capsys,
+                                                  text, where):
+        gallery = tmp_path / "codes-gallery.txt"
+        gallery.write_bytes(text)
+        assert main([
+            "query", "--gallery-codes", str(gallery), "--code", "1010",
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {gallery}{where}\n"
+
+    def test_non_ascii_label_file_is_a_data_error(self, tmp_path, capsys):
+        gallery = tmp_path / "codes-gallery.txt"
+        gallery.write_text("0\t1010\n1\t0101\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(b"classes=2\n0\n1\xe9\n")
+        assert main([
+            "eval-map", "--gallery-codes", str(gallery),
+            "--query-codes", str(gallery), "--labels", str(labels),
+            "--out", str(tmp_path / "eval"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}:3: non-ASCII byte 0xe9\n"
+        )
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == __version__

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,85 @@ class TestCenters:
         assert f"{path}:3: center line must be 4 chars of 0/1" == str(err.value)
 
 
+def reference_read_codes_text(path):
+    """The per-line reader that `read_codes_text` replaced, kept as its
+    reference. It differs from the old code only where the grammar is now
+    stricter: lines end at `\\n`, with an optional `\\r` before it, and an
+    id must be an optional `-` and 1-19 digits within int64."""
+    *lines, last = path.read_bytes().decode("latin-1").split("\n")
+    lines = [text.removesuffix("\r") for text in lines] + ([last] if last else [])
+    if not lines:
+        raise ParseError(path, "empty code file", line=1)
+    B = len(lines[0].partition("\t")[2])
+    ids = []
+    codes = []
+    stop = None
+    for ln, text in enumerate(lines, start=1):
+        ident, tab, code = text.partition("\t")
+        if tab != "\t":
+            stop = ParseError(path, "expected <id>\\t<bits>", line=ln)
+            break
+        if not (re.fullmatch("-?[0-9]{1,19}", ident)
+                and -2**63 <= int(ident) < 2**63):
+            stop = ParseError(path, f"bad id {ident!r}", line=ln)
+            break
+        ids.append(int(ident))
+        codes.append(code)
+    if ids and B == 0:
+        raise ParseError(path, "empty codeword", line=1)
+    for ln, code in enumerate(codes, start=1):
+        if len(code) != B or code.strip("01"):
+            raise ParseError(path, f"codeword must be {B} chars of 0/1", line=ln)
+    if stop is not None:
+        raise stop
+    seen = set()
+    for ln, ident in enumerate(ids, start=1):
+        if ident in seen:
+            raise ParseError(path, f"duplicate id {ident}", line=ln)
+        seen.add(ident)
+    chars = np.frombuffer("".join(codes).encode("ascii"), dtype=np.uint8)
+    return np.array(ids, dtype=np.int64), (chars - ord("0")).reshape(-1, B)
+
+
+def read_outcome(read, path):
+    """(ids, bits) as comparable values, or the (line, message) of the error."""
+    try:
+        ids, bits = read(path)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    assert ids.dtype == np.int64 and bits.dtype == np.uint8
+    assert bits.flags.c_contiguous
+    return ids.tolist(), bits.shape, bits.tobytes()
+
+
+def random_code_file(rng, B):
+    """1-5 lines of mixed-width ids of either sign, sometimes int64's ends,
+    with `\\n` or `\\r\\n` line ends and maybe no final newline; then 0-2
+    single-byte replacements, insertions or deletions."""
+    n = int(rng.integers(1, 6))
+    ids = [int(rng.integers(-10**w, 10**w)) for w in rng.integers(1, 19, n)]
+    if rng.random() < 0.2:
+        ids[int(rng.integers(n))] = int(rng.choice([-2**63, 2**63 - 1]))
+    bits = rng.integers(0, 2, size=(n, B), dtype=np.uint8) + ord("0")
+    end = b"\r\n" if rng.random() < 0.2 else b"\n"
+    blob = bytearray(end.join(
+        b"%d\t%s" % (i, row.tobytes()) for i, row in zip(ids, bits)
+    ))
+    if rng.random() < 0.7:
+        blob += end
+    for _ in range(int(rng.integers(0, 3))):
+        pos = int(rng.integers(0, len(blob) + 1))
+        byte = rng.choice(list(b"0123456789\t\n-x\x00"))
+        op = rng.integers(0, 3)
+        if op == 0 and pos < len(blob):
+            blob[pos] = byte
+        elif op == 1:
+            blob.insert(pos, byte)
+        elif pos < len(blob):
+            del blob[pos]
+    return bytes(blob)
+
+
 class TestCodes:
     def test_text_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -309,6 +390,90 @@ class TestCodes:
         with pytest.raises(ParseError) as err:
             read_codes_text(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("B", [1, 3, 64, 65, 128, 200])
+    def test_text_matches_reference_reader(self, tmp_path, B):
+        rng = np.random.default_rng(B)
+        path = tmp_path / "codes.txt"
+        errors = 0
+        for _ in range(1000):
+            path.write_bytes(random_code_file(rng, B))
+            want = read_outcome(reference_read_codes_text, path)
+            assert read_outcome(read_codes_text, path) == want, path.read_bytes()
+            errors += isinstance(want[0], int)
+        assert 200 < errors < 800  # both outcomes are well represented
+
+    def test_text_int64_ends_and_spellings(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        write_codes_text(path, [-2**63, 2**63 - 1], [[1, 0], [0, 1]])
+        ids, _ = read_codes_text(path)
+        assert ids.tolist() == [-2**63, 2**63 - 1]
+        path.write_text("-0\t10\n007\t01\n-0042\t11\n")
+        ids, bits = read_codes_text(path)
+        assert ids.tolist() == [0, 7, -42]
+        assert bits.tolist() == [[1, 0], [0, 1], [1, 1]]
+
+    def test_text_crlf_and_missing_final_newline(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_bytes(b"5\t101\r\n-3\t011\r\n9\t110")
+        ids, bits = read_codes_text(path)
+        assert ids.tolist() == [5, -3, 9]
+        assert bits.tolist() == [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1\t101\n\n2\t010\n", 2, "expected <id>\\t<bits>"),
+        ("1\t101\n\r\n", 2, "expected <id>\\t<bits>"),
+        ("1\t101\n00000000000000000001\t010\n", 2,
+         "bad id '00000000000000000001'"),
+        ("9223372036854775808\t101\n", 1, "bad id '9223372036854775808'"),
+        ("-9223372036854775809\t101\n", 1, "bad id '-9223372036854775809'"),
+        ("1\t101\n 2\t010\n", 2, "bad id ' 2'"),
+        ("1\t101\n+2\t010\n", 2, "bad id '+2'"),
+        ("1\t101\n-\t010\n", 2, "bad id '-'"),
+        ("1\t101\n--2\t010\n", 2, "bad id '--2'"),
+        ("1\t101\n2-\t010\n", 2, "bad id '2-'"),
+        ("1\t101\n2\t\t010\n", 2, "codeword must be 3 chars of 0/1"),
+        ("1\t101\r2\t010\n", 1, "codeword must be 9 chars of 0/1"),
+        ("1\t101\n2\t010\r", 2, "codeword must be 3 chars of 0/1"),
+        ("5-11010\t\n", 1, "bad id '5-11010'"),
+        ("5-11010\t\n3\t1\n", 1, "bad id '5-11010'"),
+        ("5\t\nx\t1\n", 1, "empty codeword"),
+        ("\t101\n", 1, "bad id ''"),
+        ("\n", 1, "expected <id>\\t<bits>"),
+    ], ids=["blank-line", "blank-crlf-line", "twenty-digits", "above-int64",
+            "below-int64", "space", "plus", "lone-minus", "two-minus",
+            "trailing-minus", "second-tab", "lone-cr", "final-cr",
+            "bad-id-and-empty-codeword", "bad-id-before-bad-line",
+            "empty-codeword-before-bad-id", "empty-id", "only-newline"])
+    def test_text_strict_grammar(self, tmp_path, text, line, message):
+        path = tmp_path / "codes.txt"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ParseError) as err:
+            read_codes_text(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+        assert read_outcome(reference_read_codes_text, path) == (
+            line, str(err.value)
+        )
+
+    def test_text_non_ascii_byte_named(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_bytes(b"1\t101\n2\xe9\t010\n")
+        with pytest.raises(ParseError) as err:
+            read_codes_text(path)
+        assert str(err.value) == f"{path}:2: bad id '2\\xe9'"
+
+    def test_text_gallery_sized_roundtrip(self, tmp_path):
+        # 10^6 shuffled ids of either sign and 64-bit codes; the file
+        # holds no fault, so the reference would return the same arrays.
+        rng = np.random.default_rng(12)
+        n = 1_000_000
+        ids = rng.permutation(n) - n // 2
+        bits = rng.integers(0, 2, size=(n, 64), dtype=np.uint8)
+        path = tmp_path / "codes.txt"
+        write_codes_text(path, ids, bits)
+        got_ids, got_bits = read_codes_text(path)
+        np.testing.assert_array_equal(got_ids, ids)
+        np.testing.assert_array_equal(got_bits, bits)
 
     @pytest.mark.parametrize("B", [3, 64, 67, 128])
     def test_packed_roundtrip(self, tmp_path, B):
@@ -427,3 +592,19 @@ class TestManifestAndConfig:
         with pytest.raises(ParseError) as err:
             read_config(path)
         assert err.value.line == 1
+
+
+@pytest.mark.parametrize("read, head", [
+    (read_labels, b"classes=2\n0\n"),
+    (read_split, b"gallery+train\nquery\n"),
+    (read_centers, b"B=2 C=2 epoch=0\n01\n"),
+    (read_loss_csv, b"epoch,train_loss,test_loss\n0,-1.5,\n"),
+    (read_config, b"lr=1\r\n"),
+], ids=["labels", "split", "centers", "loss-csv", "config"])
+def test_non_ascii_byte_names_its_line(tmp_path, read, head):
+    path = tmp_path / "file.txt"
+    path.write_bytes(head + b"1\xff\n")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    line = len(head.splitlines()) + 1
+    assert str(err.value) == f"{path}:{line}: non-ASCII byte 0xff"

@@ -274,6 +274,27 @@ class TestRank:
             np.testing.assert_array_equal(out.ids, np.sort(ids)[:k])
             np.testing.assert_array_equal(out.distances, d[order[:k]])
 
+    @pytest.mark.parametrize("B", [8, 64, 200])
+    @pytest.mark.parametrize("k", [1, 30, 31, 100, 1000, 2029, 2030, 3000])
+    def test_tie_block_straddles_k(self, B, k):
+        # 30 rows at d = 0, 2000 at d = 1, the rest at d >= 2: k = 31..2029
+        # cuts the block at d = 1, and k <= 1517 leaves more than 512 rows
+        # of it beyond k, so the block is trimmed before the sort; then a
+        # gallery of 3000 identical codes, where every row ties.
+        rng = np.random.default_rng(B)
+        q = rng.integers(0, 2, size=B, dtype=np.uint8)
+        near = np.tile(q, (2030, 1))
+        near[np.arange(30, 2030), rng.integers(0, B, size=2000)] ^= 1
+        far = rng.integers(0, 2, size=(970, B), dtype=np.uint8)
+        far[:, :2] = 1 - q[:2]
+        ids = rng.permutation(3000) * 7 - 9000
+        for bits in (np.vstack([near, far])[rng.permutation(3000)],
+                     np.tile(q, (3000, 1))):
+            order, d = self.reference(bits, ids, q)
+            out = query_topk(PackedCodeIndex.from_bits(bits, ids), q, k)
+            np.testing.assert_array_equal(out.ids, ids[order[:k]])
+            np.testing.assert_array_equal(out.distances, d[order[:k]])
+
 
 class TestAveragePrecision:
     def test_hand_case(self):
