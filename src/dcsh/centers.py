@@ -12,6 +12,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     ConfigurationError,
     CoverageError,
@@ -131,26 +132,22 @@ def gen_bernoulli_centers(B, C, seed, trials=BERNOULLI_TRIALS):
     best = None
     best_dist = -1
     for _ in range(trials):
-        codes = rng.integers(0, 2, size=(C, B), dtype=np.uint8)
+        codes = HashCenterSet(rng.integers(0, 2, size=(C, B), dtype=np.uint8))
         if C == 1:
-            return HashCenterSet(codes=codes, epoch=0)
-        min_dist = _min_distance(codes)
+            return codes
+        min_dist = min_pairwise_distance(codes)
         if min_dist > best_dist:
             best, best_dist = codes, min_dist
-    return HashCenterSet(codes=best, epoch=0)
-
-
-def _min_distance(codes):
-    diff = codes[:, None, :] != codes[None, :, :]
-    dist = diff.sum(axis=2)
-    return int(dist[np.triu_indices(codes.shape[0], k=1)].min())
+    return best
 
 
 def min_pairwise_distance(centers):
     """Smallest Hamming distance over all codeword pairs."""
     if centers.C < 2:
         raise ConfigurationError("need at least two codewords")
-    return _min_distance(centers.codes)
+    words = kernels.pack_codes(centers.codes)
+    return int(min(kernels.scan_distances(words[i + 1:], words[i]).min()
+                   for i in range(centers.C - 1)))
 
 
 def assign_target(labels, centers, seed):

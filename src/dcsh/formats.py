@@ -11,9 +11,10 @@ import struct
 
 import numpy as np
 
+from . import kernels
 from .centers import HashCenterSet, LabelSet
 from .data import SPLIT_TAGS, Dataset
-from .errors import LabelError, ParseError
+from .errors import DimensionError, LabelError, ParseError
 
 FEATURE_MAGIC = b"DCSHFEAT"
 CODE_MAGIC = b"DCSHCODE"
@@ -82,35 +83,46 @@ def _text_to_bits(rows, B):
 
 # ---------------------------------------------------------------- features
 
+def _write_matrix(path, magic, A, width, dtype):
+    """`magic`, u32 version, u64 N, u32 width, then A's N rows in dtype."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<IQI", FORMAT_VERSION, A.shape[0], width))
+        fh.write(A.astype(dtype, copy=False).tobytes(order="C"))
+
+
+def _read_matrix(path, magic, what, dtype, layout):
+    """(N x cols payload, width) of a file `_write_matrix` wrote, read
+    straight from the file past the 24-byte header, with no second copy
+    of the payload; `layout(N, width)` gives cols and the shape's name."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(magic) + 16)
+        off = _check_header(path, head, magic)
+        if len(head) < off + 12:
+            raise ParseError(path, f"truncated {what} header")
+        N, width = struct.unpack_from("<QI", head, off)
+        cols, shape = layout(N, width)
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        expected = N * cols * np.dtype(dtype).itemsize
+        if size != expected:
+            raise ParseError(
+                path, f"payload is {size} bytes, expected {expected} for {shape}"
+            )
+        payload = np.fromfile(fh, dtype=dtype, count=N * cols)
+    return payload.reshape(N, cols), width
+
+
 def write_features(path, X):
     A = np.ascontiguousarray(X, dtype=np.float64)
     if A.ndim != 2:
         raise ParseError(path, f"features must be 2-D, got ndim={A.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IQI", FORMAT_VERSION, A.shape[0], A.shape[1]))
-        fh.write(A.astype("<f8").tobytes(order="C"))
+    _write_matrix(path, FEATURE_MAGIC, A, A.shape[1], "<f8")
 
 
 def read_features(path):
-    """N x D float64 features, read straight from the file past the
-    24-byte header, with no second copy of the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(FEATURE_MAGIC) + 16)
-        off = _check_header(path, head, FEATURE_MAGIC)
-        if len(head) < off + 12:
-            raise ParseError(path, "truncated feature header")
-        N, D = struct.unpack_from("<QI", head, off)
-        size = os.fstat(fh.fileno()).st_size - len(head)
-        expected = N * D * 8
-        if size != expected:
-            raise ParseError(
-                path,
-                f"payload is {size} bytes, expected {expected} "
-                f"for {N} x {D} float64",
-            )
-        X = np.fromfile(fh, dtype="<f8", count=N * D)
-    X = X.astype(np.float64, copy=False).reshape(N, D)
+    """N x D float64 features."""
+    X, _ = _read_matrix(path, FEATURE_MAGIC, "feature", "<f8",
+                        lambda N, D: (D, f"{N} x {D} float64"))
     if not np.all(np.isfinite(X)):
         raise ParseError(path, "non-finite feature values")
     return X
@@ -227,6 +239,9 @@ def read_centers(path):
     if sorted(fields) != ["B", "C", "epoch"]:
         raise ParseError(path, "header must set B, C and epoch", line=1)
     B, C, epoch = fields["B"], fields["C"], fields["epoch"]
+    for key, low in (("B", 1), ("C", 1), ("epoch", 0)):
+        if fields[key] < low:
+            raise ParseError(path, f"{key} must be >= {low}", line=1)
     rows = lines[1:]
     if len(rows) != C:
         raise ParseError(path, f"expected {C} center lines, found {len(rows)}")
@@ -324,40 +339,22 @@ def read_codes_text(path):
 
 
 def write_codes_packed(path, words, B):
-    W = np.ascontiguousarray(words, dtype=np.uint64)
-    if W.ndim != 2 or W.shape[1] != (B + 63) // 64:
-        raise ParseError(path, f"word matrix does not match B={B}")
-    with open(path, "wb") as fh:
-        fh.write(CODE_MAGIC)
-        fh.write(struct.pack("<IQI", FORMAT_VERSION, W.shape[0], B))
-        fh.write(W.astype("<u8").tobytes(order="C"))
+    try:
+        W = kernels.check_words(words, B)
+    except DimensionError as exc:
+        raise ParseError(path, str(exc)) from None
+    _write_matrix(path, CODE_MAGIC, W, B, "<u8")
 
 
 def read_codes_packed(path):
-    blob = _read_bytes(path)
-    off = _check_header(path, blob, CODE_MAGIC)
-    if len(blob) < off + 12:
-        raise ParseError(path, "truncated code header")
-    N, B = struct.unpack_from("<QI", blob, off)
-    off += 12
-    if B < 1:
-        raise ParseError(path, f"bad bit count {B}")
-    n_words = (B + 63) // 64
-    expected = N * n_words * 8
-    if len(blob) - off != expected:
-        raise ParseError(
-            path,
-            f"payload is {len(blob) - off} bytes, expected {expected} "
-            f"for {N} codes of {B} bits",
-        )
-    words = np.frombuffer(blob, dtype="<u8", count=N * n_words, offset=off)
-    words = words.astype(np.uint64).reshape(N, n_words)
-    tail = B % 64
-    if tail and N:
-        mask = np.uint64((1 << tail) - 1)
-        if np.any(words[:, -1] & ~mask):
-            raise ParseError(path, "unused high bits must be zero")
-    return words, B
+    words, B = _read_matrix(
+        path, CODE_MAGIC, "code", "<u8",
+        lambda N, B: (kernels.word_count(B), f"{N} codes of {B} bits"),
+    )
+    try:
+        return kernels.check_words(words, B), B
+    except DimensionError as exc:
+        raise ParseError(path, str(exc)) from None
 
 
 # ------------------------------------------------------------------- model

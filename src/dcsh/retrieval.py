@@ -1,7 +1,7 @@
-"""Bit-packed Hamming retrieval and the MAP / precision-recall metrics.
+"""Hamming retrieval over packed codes and the MAP / precision-recall metrics.
 
-Gallery codes are packed into ceil(B/64) 64-bit words per sample, bit j
-at bit (j mod 64) of word (j div 64), and scanned linearly with a
+A `PackedCodeIndex` holds the gallery in the word layout of `kernels`,
+which also packs each query and scans the gallery linearly with its
 popcount kernel. The gallery keeps its file order. Rankings order by
 distance, then ascending id, so every result is deterministic
 regardless of storage order: `_rank` bisects [0, B] for the k-th
@@ -19,6 +19,8 @@ import numpy as np
 from . import kernels
 from .centers import LabelSet, label_incidence
 from .errors import ConfigurationError, DimensionError, LabelError
+# unpack_codes is not used here; it stays importable from this module.
+from .kernels import pack_codes, unpack_codes
 
 SAME_CLASS = "same-class"
 SHARE_ANY = "share-any-label"
@@ -26,6 +28,7 @@ RELEVANCE_RULES = (SAME_CLASS, SHARE_ANY)
 
 
 def _as_bits(code, name="code"):
+    """A 1-D array of the code's entries; `pack_codes` checks they are 0/1."""
     if isinstance(code, str):
         code = np.frombuffer(code.encode(errors="replace"), np.uint8) - ord("0")
         if (code > 1).any():
@@ -33,38 +36,7 @@ def _as_bits(code, name="code"):
     A = np.asarray(code)
     if A.ndim != 1 or A.shape[0] < 1:
         raise DimensionError(f"{name} must be a non-empty bit vector")
-    if not ((A == 0) | (A == 1)).all():
-        raise DimensionError(f"{name} entries must be 0 or 1")
-    return A.astype(np.uint8)
-
-
-def pack_codes(bits):
-    """Pack an N x B matrix of 0/1 into N x ceil(B/64) uint64 words."""
-    A = np.asarray(bits)
-    if A.ndim != 2 or A.shape[1] < 1:
-        raise DimensionError(f"expected N x B bit matrix, got shape {A.shape}")
-    if not ((A == 0) | (A == 1)).all():
-        raise DimensionError("code bits must be 0 or 1")
-    A = np.ascontiguousarray(A, dtype=np.uint8)
-    n_words = (A.shape[1] + 63) // 64
-    by = np.packbits(A, axis=1, bitorder="little")
-    padded = np.zeros((A.shape[0], n_words * 8), dtype=np.uint8)
-    padded[:, : by.shape[1]] = by
-    return padded.view("<u8")
-
-
-def unpack_codes(words, B):
-    """Inverse of pack_codes for W = ceil(B/64) words per row."""
-    Wd = np.ascontiguousarray(words, dtype=np.uint64)
-    if Wd.ndim != 2:
-        raise DimensionError(f"expected N x W word matrix, got shape {Wd.shape}")
-    if Wd.shape[1] != (B + 63) // 64:
-        raise DimensionError(
-            f"{Wd.shape[1]} words cannot hold B={B} bits"
-        )
-    by = Wd.view("<u8").view(np.uint8).reshape(Wd.shape[0], -1)
-    bits = np.unpackbits(by, axis=1, bitorder="little")
-    return bits[:, :B].copy()
+    return A
 
 
 def hamming(a, b):
@@ -75,7 +47,8 @@ def hamming(a, b):
         raise DimensionError(
             f"codeword lengths differ: {A.shape[0]} vs {Bv.shape[0]}"
         )
-    return int(np.count_nonzero(A != Bv))
+    words = pack_codes(np.stack((A, Bv)))
+    return int(kernels.scan_distances(words[:1], words[1])[0])
 
 
 class PackedCodeIndex:
@@ -84,19 +57,8 @@ class PackedCodeIndex:
     the largest class, `single_label` says each row has one."""
 
     def __init__(self, words, B, ids, labels=None):
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
-        if self.words.ndim != 2:
-            raise DimensionError("words must be an N x W matrix")
         self.B = int(B)
-        if self.B < 1 or self.words.shape[1] != (self.B + 63) // 64:
-            raise DimensionError(
-                f"word count {self.words.shape[1]} does not match B={self.B}"
-            )
-        tail = self.B % 64
-        if tail and self.words.shape[0]:
-            mask = np.uint64((1 << tail) - 1)
-            if np.any(self.words[:, -1] & ~mask):
-                raise DimensionError("unused high bits must be zero")
+        self.words = kernels.check_words(words, self.B)
         self.ids = np.asarray(ids, dtype=np.int64)
         if self.ids.ndim != 1 or self.ids.shape[0] != self.words.shape[0]:
             raise DimensionError("ids must align with code rows")

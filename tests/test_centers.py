@@ -140,6 +140,18 @@ class TestBernoulli:
         assert cs.C == 1
 
 
+@pytest.mark.parametrize("B", [1, 63, 64, 65, 67, 128])
+@pytest.mark.parametrize("C", [2, 7])
+@pytest.mark.parametrize("tie", [False, True])
+def test_min_pairwise_distance_matches_bit_loop(B, C, tie):
+    codes = np.random.default_rng(B * C).integers(0, 2, size=(C, B))
+    if tie:
+        codes[-1] = codes[0]
+    want = min(int((a != b).sum()) for a, b in itertools.combinations(codes, 2))
+    assert want == 0 or not tie
+    assert min_pairwise_distance(HashCenterSet(codes)) == want
+
+
 class TestAssignTarget:
     def test_single_label_passthrough(self):
         cs = gen_hadamard_centers(8, 4)

@@ -346,6 +346,19 @@ class TestExitCodes:
         ]) == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_bad_center_header_names_the_line(self, pipeline, tmp_path,
+                                              capsys):
+        centers = tmp_path / "centers.txt"
+        centers.write_text("B=-3 C=1 epoch=0\n010\n")
+        data = pipeline / "data"
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"), "--centers", str(centers),
+            "--out", str(tmp_path / "out"), "--bits", "8", "--epochs", "1",
+        ]) == 2
+        assert f"{centers}:1: B must be >= 1" in capsys.readouterr().err
+
     def test_numeric_abort(self, pipeline, tmp_path, capsys):
         # features at overflow scale make the first forward pass non-finite
         data = pipeline / "data"

@@ -1,11 +1,12 @@
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from dcsh.centers import HashCenterSet, gen_bernoulli_centers
 from dcsh.data import gen_synthetic
-from dcsh.errors import ParseError
+from dcsh.errors import DimensionError, ParseError
 from dcsh.formats import (
     read_centers,
     read_codes_packed,
@@ -30,7 +31,7 @@ from dcsh.formats import (
     write_split,
 )
 from dcsh.network import build_model
-from dcsh.retrieval import pack_codes
+from dcsh.retrieval import PackedCodeIndex, pack_codes, unpack_codes
 
 
 class TestFeatures:
@@ -243,6 +244,19 @@ class TestCenters:
             read_centers(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("B=-3 C=1 epoch=0\n010\n", "B must be >= 1"),
+        ("B=0 C=1 epoch=0\n\n", "B must be >= 1"),
+        ("B=3 C=0 epoch=0\n", "C must be >= 1"),
+        ("B=3 C=1 epoch=-1\n010\n", "epoch must be >= 0"),
+    ], ids=["negative-B", "zero-B", "zero-C", "negative-epoch"])
+    def test_header_value_out_of_range(self, tmp_path, text, message):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_centers(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
     def test_bad_character(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("B=4 C=3 epoch=0\n1010\n1210\n0101\n")
@@ -329,6 +343,13 @@ def random_code_file(rng, B):
         elif pos < len(blob):
             del blob[pos]
     return bytes(blob)
+
+
+def _packed_file(tmp_path, words, B):
+    path = tmp_path / "codes.bin"
+    path.write_bytes(b"DCSHCODE" + struct.pack("<IQI", 1, words.shape[0], B)
+                     + words.astype("<u8").tobytes())
+    return path
 
 
 class TestCodes:
@@ -491,9 +512,73 @@ class TestCodes:
         words = np.array([[np.uint64(1) << np.uint64(60)]], dtype=np.uint64)
         write_codes_packed(path, words, 64)
         read_codes_packed(path)  # B=64 uses the whole word
-        write_codes_packed(path, words, 40)
+        # The writer refuses these words for B=40, so build the file by hand.
+        path = _packed_file(tmp_path, words, 40)
         with pytest.raises(ParseError):
             read_codes_packed(path)
+
+    def test_packed_empty_roundtrip(self, tmp_path):
+        path = tmp_path / "codes.bin"
+        write_codes_packed(path, np.zeros((0, 2), dtype=np.uint64), 67)
+        words, B = read_codes_packed(path)
+        assert words.shape == (0, 2) and words.dtype == np.uint64 and B == 67
+
+    def test_packed_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "codes.bin"
+        write_codes_packed(path, pack_codes(np.ones((2, 3))), 3)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ParseError) as err:
+            read_codes_packed(path)
+        assert str(err.value) == f"{path}: truncated code header"
+
+
+class TestMatrixLayout:
+    """features.bin and codes-*.bin share one header: magic, u32 version,
+    u64 N, u32 width, then the little-endian rows."""
+
+    def test_feature_bytes(self, tmp_path):
+        X = np.random.default_rng(2).standard_normal((3, 2))
+        path = tmp_path / "f.bin"
+        write_features(path, X)
+        assert path.read_bytes() == (
+            b"DCSHFEAT" + struct.pack("<IQI", 1, 3, 2) + X.astype("<f8").tobytes()
+        )
+
+    def test_code_bytes(self, tmp_path):
+        words = pack_codes(np.random.default_rng(3).integers(0, 2, (4, 67)))
+        path = tmp_path / "codes.bin"
+        write_codes_packed(path, words, 67)
+        assert path.read_bytes() == (
+            b"DCSHCODE" + struct.pack("<IQI", 1, 4, 67)
+            + words.astype("<u8").tobytes()
+        )
+
+
+@pytest.mark.parametrize("words, B", [
+    (np.zeros((2, 2), dtype=np.uint64), 64),  # one word too many
+    (np.zeros((2, 1), dtype=np.uint64), 65),  # one word too few
+    (np.array([[1], [1 << 40]], dtype=np.uint64), 40),  # bit 40 with B = 40
+    (np.array([[0, 8]], dtype=np.uint64), 67),  # bit 67 with B = 67
+], ids=["extra-word", "missing-word", "dirty-40", "dirty-67"])
+@pytest.mark.parametrize("consumer", ["index", "unpack", "read", "write"])
+def test_one_word_check(tmp_path, words, B, consumer):
+    if consumer == "index":
+        with pytest.raises(DimensionError):
+            PackedCodeIndex(words, B, ids=np.arange(words.shape[0]))
+    elif consumer == "unpack":
+        with pytest.raises(DimensionError):
+            unpack_codes(words, B)
+    elif consumer == "write":
+        with pytest.raises(ParseError):
+            write_codes_packed(tmp_path / "codes.bin", words, B)
+    else:
+        path = _packed_file(tmp_path, words, B)
+        with pytest.raises(ParseError) as err:
+            read_codes_packed(path)
+        # In a file, a wrong word count is a payload of the wrong length.
+        dirty = words.shape[1] == (B + 63) // 64
+        want = "unused high bits must be zero" if dirty else "payload is "
+        assert str(err.value).startswith(f"{path}: {want}")
 
 
 class TestModel:

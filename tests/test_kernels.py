@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcsh import kernels
-from dcsh.retrieval import pack_codes
+from dcsh.kernels import pack_codes
 
 
 class TestNumpyKernels:

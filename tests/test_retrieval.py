@@ -60,13 +60,28 @@ class TestPacking:
         assert np.all(words[:, 1] == np.uint64(0b111))
 
     def test_non_binary_rejected(self):
-        for bad in ([[0, 2]], [[0.0, 1.0, 0.5]], [[0.0, 1.0, np.nan]]):
+        for bad in ([[0, 2]], [[0.0, 1.0, 0.5]], [[0.0, 1.0, np.nan]],
+                    [[0, -1]], np.array([[0, 2]], dtype=np.uint8),
+                    np.array([[1, 2**64 - 1]], dtype=np.uint64)):
             with pytest.raises(DimensionError):
                 pack_codes(np.array(bad))
 
     def test_wrong_word_count_rejected(self):
         with pytest.raises(DimensionError):
             unpack_codes(np.zeros((2, 2), dtype=np.uint64), 64)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint64, np.int64,
+                                       np.float64])
+    def test_binary_dtypes_pack_alike(self, dtype):
+        bits = np.random.default_rng(5).integers(0, 2, size=(6, 70))
+        np.testing.assert_array_equal(pack_codes(bits.astype(dtype)),
+                                      pack_codes(bits.astype(np.uint8)))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
+    def test_empty_matrix(self, dtype):
+        words = pack_codes(np.zeros((0, 70), dtype=dtype))
+        assert words.shape == (0, 2) and words.dtype == np.uint64
+        assert unpack_codes(words, 70).shape == (0, 70)
 
 
 class TestHamming:
@@ -84,7 +99,7 @@ class TestHamming:
         with pytest.raises(DimensionError):
             hamming("10x", "101")
 
-    @pytest.mark.parametrize("B", [12, 16, 24, 32, 48, 64, 67])
+    @pytest.mark.parametrize("B", [1, 12, 16, 24, 32, 48, 63, 64, 65, 67, 128])
     def test_against_bit_loop(self, B):
         rng = np.random.default_rng(B)
         pairs = 10_000 // 7 + 1
@@ -92,6 +107,18 @@ class TestHamming:
         C = rng.integers(0, 2, size=(pairs, B), dtype=np.uint8)
         for a, c in zip(A, C):
             assert hamming(a, c) == naive_hamming(a, c)
+
+
+@pytest.mark.parametrize("B", [1, 63, 64, 65, 67, 128])
+def test_distances_match_bit_loop(B):
+    rng = np.random.default_rng(100 + B)
+    bits = rng.integers(0, 2, size=(40, B), dtype=np.uint8)
+    bits[1] = bits[0]  # one pair at distance 0
+    idx = PackedCodeIndex.from_bits(bits, ids=np.arange(40))
+    for q in bits[:5]:
+        want = [naive_hamming(q, row) for row in bits]
+        assert idx.distances(q).tolist() == want
+        assert idx.distances("".join(map(str, q))).tolist() == want
 
 
 class TestPackedCodeIndex:

@@ -9,8 +9,14 @@ by path (perfbench is not a package), resolve each entry the way its
 wrapper does (a module attribute, or an entry in a class's own
 `__dict__`), and count the calls of one tiny traced training run and
 one tiny traced retrieval run.
+
+The benchmark step `perfbench/step.py` also calls dcsh functions that
+no target wraps, such as `retrieval.unpack_codes`. Its source is read
+with `ast`, without importing it, and every `cli.*`, `formats.*` and
+`retrieval.*` call in it must resolve.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -23,6 +29,8 @@ from dcsh.centers import gen_hadamard_centers
 from dcsh.data import gen_synthetic
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+STEP = SPANS.with_name("step.py")
+STEP_MODULES = ("cli", "formats", "retrieval")
 
 # Spans of the training step that must each see at least one call.
 TRAINING_SPANS = (
@@ -65,6 +73,37 @@ def test_target_resolves(module_name, attr):
         assert leaf in vars(getattr(module, owner)), f"{module_name}.{attr}"
     else:
         assert callable(getattr(module, leaf, None)), f"{module_name}.{attr}"
+
+
+def step_calls():
+    """(module, dotted attribute) of every call in `perfbench/step.py`
+    made through a name in STEP_MODULES, e.g. `retrieval.PackedCodeIndex`
+    `.from_bits` -> ("retrieval", "PackedCodeIndex.from_bits")."""
+    calls = set()
+    for node in ast.walk(ast.parse(STEP.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if parts and isinstance(func, ast.Name) and func.id in STEP_MODULES:
+            calls.add((func.id, ".".join(parts)))
+    return sorted(calls)
+
+
+def test_step_calls_are_found():
+    calls = step_calls()
+    assert ("retrieval", "unpack_codes") in calls
+    assert ("cli", "main") in calls
+
+
+@pytest.mark.parametrize("module_name, attr", step_calls())
+def test_step_call_resolves(module_name, attr):
+    obj = importlib.import_module(f"dcsh.{module_name}")
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    assert callable(obj), f"dcsh.{module_name}.{attr}"
 
 
 def test_training_reaches_the_timed_targets():
