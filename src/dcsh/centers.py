@@ -85,7 +85,8 @@ class HashCenterSet:
             raise DimensionError(f"empty center set of shape {raw.shape}")
         if not ((raw == 0) | (raw == 1)).all():
             raise DimensionError("center bits must be 0 or 1")
-        A = np.ascontiguousarray(raw, dtype=np.uint8)
+        # A view, so the caller's array stays writeable.
+        A = np.ascontiguousarray(raw, dtype=np.uint8).view()
         A.setflags(write=False)
         object.__setattr__(self, "codes", A)
         if self.epoch < 0:
@@ -146,8 +147,12 @@ def min_pairwise_distance(centers):
     if centers.C < 2:
         raise ConfigurationError("need at least two codewords")
     words = kernels.pack_codes(centers.codes)
-    return int(min(kernels.scan_distances(words[i + 1:], words[i]).min()
-                   for i in range(centers.C - 1)))
+    i, j = np.triu_indices(centers.C, k=1)
+    # The distance of a pair is the popcount of its XOR: one scan of all
+    # pairs against the zero code.
+    return int(kernels.scan_distances(
+        words[i] ^ words[j], np.zeros(words.shape[1], dtype=np.uint64)
+    ).min())
 
 
 def assign_target(labels, centers, seed):

@@ -30,7 +30,8 @@ class Dataset:
     tags: tuple
 
     def __post_init__(self):
-        F = np.ascontiguousarray(self.features, dtype=np.float64)
+        # A view, so the caller's array stays writeable.
+        F = np.ascontiguousarray(self.features, dtype=np.float64).view()
         if F.ndim != 2:
             raise DimensionError(f"features must be 2-D, got ndim={F.ndim}")
         if not np.all(np.isfinite(F)):

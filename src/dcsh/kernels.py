@@ -6,6 +6,12 @@ import numpy as np
 
 from .errors import DimensionError
 
+# Gallery words per block of the scan: 512 KiB, so the XOR of a block
+# is still in cache when it is popcounted. Scanning 10^6 one-word codes
+# through a single 8 MB XOR took 2.5-3.2 ms against 1.3-2.0 ms in blocks
+# (2-core host, numpy 2.4).
+SCAN_BLOCK_WORDS = 65_536
+
 
 def word_count(B):
     """Number of 64-bit words that hold a B-bit code."""
@@ -45,21 +51,38 @@ def unpack_codes(words, B):
     return np.unpackbits(by, axis=1, count=B, bitorder="little")
 
 
+def _count_rows(xor, dtype, out=None):
+    """Set bits in each row of an (n, W) uint64 block. One word per row
+    is counted straight into the result; wider rows are summed."""
+    if xor.shape[1] == 1:
+        return np.bitwise_count(xor[:, 0], out=out)
+    return np.bitwise_count(xor).sum(axis=1, dtype=dtype, out=out)
+
+
 def scan_distances(gallery_words, query_words):
     """Hamming distances from one packed query to every gallery row.
 
     gallery: (N, W) uint64, query: (W,) uint64 -> (N,) distances of the
     smallest unsigned type that holds 64 * W, so the ranking's counting
-    passes read one byte per row up to 192 bits.
+    passes read one byte per row up to 192 bits. A gallery of more than
+    SCAN_BLOCK_WORDS words is scanned in blocks of at most that many,
+    each XORed into one buffer and popcounted while it is still in cache.
     """
     gallery = np.ascontiguousarray(gallery_words, dtype=np.uint64)
     query = np.ascontiguousarray(query_words, dtype=np.uint64)
     if gallery.ndim != 2 or query.ndim != 1:
         raise ValueError("expected (N, W) gallery and (W,) query")
-    if gallery.shape[1] != query.shape[0]:
-        raise ValueError(
-            f"word counts differ: {gallery.shape[1]} vs {query.shape[0]}"
-        )
-    return np.bitwise_count(np.bitwise_xor(gallery, query[None, :])).sum(
-        axis=-1, dtype=np.min_scalar_type(64 * gallery.shape[1])
-    )
+    N, W = gallery.shape
+    if W != query.shape[0]:
+        raise ValueError(f"word counts differ: {W} vs {query.shape[0]}")
+    dtype = np.min_scalar_type(64 * W)
+    step = max(1, SCAN_BLOCK_WORDS // W)  # rows per block
+    if N <= step:
+        return _count_rows(np.bitwise_xor(gallery, query), dtype)
+    out = np.empty(N, dtype=dtype)
+    xor = np.empty((step, W), dtype=np.uint64)
+    for start in range(0, N, step):
+        block = gallery[start:start + step]
+        _count_rows(np.bitwise_xor(block, query, out=xor[:block.shape[0]]),
+                    dtype, out[start:start + step])
+    return out

@@ -2,14 +2,19 @@
 
 A `PackedCodeIndex` holds the gallery in the word layout of `kernels`,
 which also packs each query and scans the gallery linearly with its
-popcount kernel. The gallery keeps its file order. Rankings order by
-distance, then ascending id, so every result is deterministic
-regardless of storage order: `_rank` bisects [0, B] for the k-th
-smallest distance t, counting rows with d <= t in each step, then sorts
-only the rows within t, cutting a large tie block at t down to k rows.
+popcount kernel, one cache-sized block at a time. The gallery keeps its
+file order. Rankings order by distance, then ascending id, so every
+result is deterministic regardless of storage order: `_rank` bisects
+[0, B] for the k-th smallest distance t, counting rows with d <= t in
+each step, then sorts only the rows within t, cutting a large tie block
+at t down to k rows.
 A gallery sample is relevant to a query when it carries one of the
 query's classes (`relevance_mask`); the same-class rule only adds that
-every label set, the query's included, holds exactly one class.
+every label set, the query's included, holds exactly one class. A query
+with one class the gallery knows gets that class's column of the label
+table as a read-only view, with no copy. `pr_curve` takes a query's
+retrieved and relevant counts at every threshold from one `bincount`,
+keyed by distance and shifted by B + 1 for relevant rows.
 """
 
 from dataclasses import dataclass
@@ -58,8 +63,9 @@ class PackedCodeIndex:
 
     def __init__(self, words, B, ids, labels=None):
         self.B = int(B)
-        self.words = kernels.check_words(words, self.B)
-        self.ids = np.asarray(ids, dtype=np.int64)
+        # Views, so the read-only flag set below stays off the caller's arrays.
+        self.words = kernels.check_words(words, self.B).view()
+        self.ids = np.asarray(ids, dtype=np.int64).view()
         if self.ids.ndim != 1 or self.ids.shape[0] != self.words.shape[0]:
             raise DimensionError("ids must align with code rows")
         by_id = np.sort(self.ids, kind="stable")  # linear on ids in order
@@ -178,7 +184,10 @@ def relevance_mask(query_labels, gallery, rule):
     if rule == SAME_CLASS and not single:
         raise LabelError("same-class rule requires single-label data")
     C = gallery.incidence.shape[1]
-    return gallery.incidence[:, [c for c in query_labels if c < C]].any(axis=1)
+    cols = [c for c in query_labels if c < C]
+    if len(cols) == 1:  # a contiguous, read-only column: no copy
+        return gallery.incidence[:, cols[0]]
+    return gallery.incidence[:, cols].any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -228,6 +237,10 @@ def pr_curve(queries, gallery, rule):
     """
     _check_queries(queries, gallery)
     B = gallery.B
+    # Relevant rows are keyed at distance + B + 1, so one bincount gives
+    # the other rows' histogram below B + 1 and the relevant rows' above.
+    kind = np.min_scalar_type(2 * B + 1)
+    offset = kind.type(B + 1)
     thresholds = np.arange(B + 1, dtype=np.int64)
     precision_sum = np.zeros(B + 1, dtype=np.float64)
     recall_sum = np.zeros(B + 1, dtype=np.float64)
@@ -236,8 +249,10 @@ def pr_curve(queries, gallery, rule):
         R_total = np.count_nonzero(rel_mask)
         if R_total == 0:
             continue
-        retrieved = np.cumsum(np.bincount(dists, minlength=B + 1))
-        hits = np.cumsum(np.bincount(dists[rel_mask], minlength=B + 1))
+        key = np.add(dists, rel_mask.view(np.uint8) * offset, dtype=kind)
+        counts = np.bincount(key, minlength=2 * (B + 1))
+        hits = np.cumsum(counts[B + 1:])
+        retrieved = np.cumsum(counts[:B + 1]) + hits
         precision = np.where(retrieved > 0, hits / np.maximum(retrieved, 1), 1.0)
         precision_sum += precision
         recall_sum += hits / R_total

@@ -72,6 +72,12 @@ class TestHashCenterSet:
         with pytest.raises(ValueError):
             cs.codes[0, 0] = 0
 
+    def test_callers_array_stays_writeable(self):
+        codes = np.ones((2, 4), dtype=np.uint8)
+        cs = HashCenterSet(codes)
+        assert np.shares_memory(cs.codes, codes)
+        assert codes.flags.writeable and not cs.codes.flags.writeable
+
     def test_non_binary_rejected(self):
         with pytest.raises(DimensionError):
             HashCenterSet(np.array([[0, 2]]))
@@ -140,7 +146,7 @@ class TestBernoulli:
         assert cs.C == 1
 
 
-@pytest.mark.parametrize("B", [1, 63, 64, 65, 67, 128])
+@pytest.mark.parametrize("B", [1, 63, 64, 65, 67, 128, 130, 200])
 @pytest.mark.parametrize("C", [2, 7])
 @pytest.mark.parametrize("tie", [False, True])
 def test_min_pairwise_distance_matches_bit_loop(B, C, tie):

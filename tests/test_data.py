@@ -31,6 +31,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
+    def test_callers_features_stay_writeable(self):
+        F = np.zeros((2, 2))
+        ds = Dataset(F, [[0], [0]], C=1, tags=("train",) * 2)
+        assert np.shares_memory(ds.features, F)
+        assert F.flags.writeable and not ds.features.flags.writeable
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             Dataset(np.zeros((3, 2)), [[0]], C=1, tags=("train",) * 3)

@@ -43,6 +43,40 @@ class TestNumpyKernels:
             )
 
 
+class TestBlockedScan:
+    """Galleries around the block edges, with blocks of a few words."""
+
+    BLOCK_WORDS = 6
+
+    @pytest.mark.parametrize("B", [64, 100, 192])  # W = 1, 2, 3
+    def test_block_edges_against_bit_loop(self, monkeypatch, B):
+        monkeypatch.setattr(kernels, "SCAN_BLOCK_WORDS", self.BLOCK_WORDS)
+        step = self.BLOCK_WORDS // kernels.word_count(B)  # rows per block
+        rng = np.random.default_rng(B)
+        for n in (step - 1, step, step + 1, 3 * step + 1, 4 * step - 1):
+            bits = rng.integers(0, 2, size=(n, B), dtype=np.uint8)
+            qbits = rng.integers(0, 2, size=B, dtype=np.uint8)
+            got = kernels.scan_distances(
+                pack_codes(bits), pack_codes(qbits[None, :])[0]
+            )
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, (bits != qbits).sum(axis=1))
+
+    def test_rows_wider_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(kernels, "SCAN_BLOCK_WORDS", 2)
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, size=(5, 192), dtype=np.uint8)
+        got = kernels.scan_distances(pack_codes(bits), pack_codes(bits[:1])[0])
+        np.testing.assert_array_equal(got, (bits != bits[0]).sum(axis=1))
+
+    @pytest.mark.parametrize("W, dtype", [(1, np.uint8), (3, np.uint8),
+                                          (4, np.uint16)])
+    def test_empty_gallery(self, W, dtype):
+        got = kernels.scan_distances(np.zeros((0, W), dtype=np.uint64),
+                                     np.zeros(W, dtype=np.uint64))
+        assert got.shape == (0,) and got.dtype == dtype
+
+
 class TestDispatch:
     def test_wrapper_validates_shapes(self):
         with pytest.raises(ValueError):

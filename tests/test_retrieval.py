@@ -148,6 +148,14 @@ class TestPackedCodeIndex:
         with pytest.raises(ValueError):
             idx.words[0, 0] = 1
 
+    def test_callers_arrays_stay_writeable(self):
+        words = np.zeros((2, 1), dtype=np.uint64)
+        ids = np.array([0, 1], dtype=np.int64)
+        idx = PackedCodeIndex(words, 8, ids)
+        assert np.shares_memory(idx.words, words)
+        assert words.flags.writeable and ids.flags.writeable
+        assert not idx.words.flags.writeable and not idx.ids.flags.writeable
+
     @pytest.mark.parametrize("labels, single", [
         ([[2], [0], [2]], True),
         ([[0, 3], [1], [3, 0]], False),
@@ -392,6 +400,20 @@ class TestRelevanceMask:
             relevance_mask([3], g, "share-any-label"), [False, False, True]
         )
 
+    @pytest.mark.parametrize("rule", ["same-class", "share-any-label"])
+    def test_single_class_is_a_read_only_column(self, rule):
+        labels = [[0], [2], [0], [1], [2]]
+        g = self.labeled_gallery(labels)
+        mask = relevance_mask([2], g, rule)
+        np.testing.assert_array_equal(mask, [l == [2] for l in labels])
+        assert np.shares_memory(mask, g.incidence)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = True
+        np.testing.assert_array_equal(
+            g.incidence[:, 2], [False, True, False, False, True]
+        )
+
     def test_unknown_rule_rejected(self):
         g = self.labeled_gallery([[0]])
         with pytest.raises(ConfigurationError):
@@ -592,13 +614,13 @@ class TestBruteForceOracle:
         q = set(query_labels)
         return np.array([not q.isdisjoint(l) for l in gallery_labels])
 
-    def gallery(self, multi):
+    def gallery(self, multi, B=B):
         # 500 rows of 10 bits: every distance is shared by dozens of rows,
         # so the top-k boundary always falls inside a tie. Ids are
         # non-contiguous and stored shuffled; class 4 is never used.
         rng = np.random.default_rng(77)
         n = 500
-        bits = rng.integers(0, 2, size=(n, self.B), dtype=np.uint8)
+        bits = rng.integers(0, 2, size=(n, B), dtype=np.uint8)
         ids = rng.choice(100_000, size=n, replace=False)
         classes = np.array([0, 1, 2, 3, 5, 6])
         labels = [
@@ -608,10 +630,10 @@ class TestBruteForceOracle:
         ]
         return bits, ids, labels
 
-    def queries(self, multi):
+    def queries(self, multi, B=B):
         rng = np.random.default_rng(78)
         n = 30
-        bits = rng.integers(0, 2, size=(n, self.B), dtype=np.uint8)
+        bits = rng.integers(0, 2, size=(n, B), dtype=np.uint8)
         # includes class 4 (carried by no gallery row) and 9 (above the
         # gallery's largest class)
         pool = np.array([0, 1, 2, 3, 4, 5, 6, 9])
@@ -625,6 +647,26 @@ class TestBruteForceOracle:
 
     def reference_distances(self, g_bits, q_bits):
         return (q_bits[:, None, :] != g_bits[None, :, :]).sum(axis=2)
+
+    @staticmethod
+    def reference_pr(dists, rels, B):
+        """Macro-averaged (recall, precision) at thresholds 0..B by
+        counting rows with d <= t for each t, over queries with a
+        relevant row."""
+        precision_sum = np.zeros(B + 1)
+        recall_sum = np.zeros(B + 1)
+        counted = 0
+        for d, rel in zip(dists, rels):
+            if not rel.any():
+                continue
+            retrieved = np.array([(d <= t).sum() for t in range(B + 1)])
+            hits = np.array([(rel & (d <= t)).sum() for t in range(B + 1)])
+            precision_sum += np.where(
+                retrieved > 0, hits / np.maximum(retrieved, 1), 1.0
+            )
+            recall_sum += hits / rel.sum()
+            counted += 1
+        return recall_sum / counted, precision_sum / counted
 
     @pytest.mark.parametrize("multi", [False, True])
     def test_query_topk(self, multi):
@@ -649,9 +691,7 @@ class TestBruteForceOracle:
         queries = PackedCodeIndex.from_bits(q_bits, q_ids, labels=q_labels)
         dists = self.reference_distances(g_bits, q_bits)
         aps = []
-        precision_sum = np.zeros(self.B + 1)
-        recall_sum = np.zeros(self.B + 1)
-        counted = 0
+        rels = []
         for labels, d in zip(q_labels, dists):
             rel = self.reference_relevance(labels, g_labels, rule)
             np.testing.assert_array_equal(
@@ -659,23 +699,35 @@ class TestBruteForceOracle:
             )
             order = np.lexsort((g_ids, d))[:self.K]
             aps.append(average_precision(rel[order], int(rel.sum())))
-            if not rel.any():
-                continue
-            retrieved = np.array([(d <= t).sum() for t in range(self.B + 1)])
-            hits = np.array([(rel & (d <= t)).sum() for t in range(self.B + 1)])
-            precision_sum += np.where(
-                retrieved > 0, hits / np.maximum(retrieved, 1), 1.0
-            )
-            recall_sum += hits / rel.sum()
-            counted += 1
+            rels.append(rel)
         out = map_at_k(queries, gallery, self.K, rule)
         np.testing.assert_array_equal(out.aps, aps)
         assert out.aps[0] == out.aps[1] == 0.0  # classes 4 and 9
         _, recalls, precisions = pr_curve(queries, gallery, rule)
-        np.testing.assert_allclose(recalls, recall_sum / counted, rtol=1e-12)
-        np.testing.assert_allclose(
-            precisions, precision_sum / counted, rtol=1e-12
+        want_r, want_p = self.reference_pr(dists, rels, self.B)
+        np.testing.assert_allclose(recalls, want_r, rtol=1e-12)
+        np.testing.assert_allclose(precisions, want_p, rtol=1e-12)
+
+    # 127 is the widest code whose PR key (distance + relevance * (B + 1))
+    # fits in uint8; from 128 on the key is uint16, and 130 and 200 take
+    # 3 and 4 words per code.
+    @pytest.mark.parametrize("B", [127, 128, 130, 200])
+    @pytest.mark.parametrize("multi, rule", [
+        (False, "same-class"), (True, "share-any-label"),
+    ])
+    def test_pr_curve_wide_codes(self, B, multi, rule):
+        g_bits, g_ids, g_labels = self.gallery(multi, B)
+        q_bits, q_ids, q_labels = self.queries(multi, B)
+        gallery = PackedCodeIndex.from_bits(g_bits, g_ids, labels=g_labels)
+        queries = PackedCodeIndex.from_bits(q_bits, q_ids, labels=q_labels)
+        rels = [self.reference_relevance(l, g_labels, rule) for l in q_labels]
+        want_r, want_p = self.reference_pr(
+            self.reference_distances(g_bits, q_bits), rels, B
         )
+        thresholds, recalls, precisions = pr_curve(queries, gallery, rule)
+        np.testing.assert_array_equal(thresholds, np.arange(B + 1))
+        np.testing.assert_allclose(recalls, want_r, rtol=1e-12)
+        np.testing.assert_allclose(precisions, want_p, rtol=1e-12)
 
     @pytest.mark.parametrize("rule", ["same-class", "share-any-label"])
     @pytest.mark.parametrize("classes", [[4], [9], [40]])
