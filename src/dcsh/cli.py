@@ -321,10 +321,15 @@ def _load_index(code_path, labels):
     )
 
 
-def _cmd_eval_map(args):
+def _load_eval(args):
+    """(gallery, queries) of eval-map and eval-pr, read in that order."""
     labels, _ = formats.read_labels(args.labels)
-    gallery = _load_index(args.gallery_codes, labels)
-    queries = _load_index(args.query_codes, labels)
+    return (_load_index(args.gallery_codes, labels),
+            _load_index(args.query_codes, labels))
+
+
+def _cmd_eval_map(args):
+    gallery, queries = _load_eval(args)
     result = map_at_k(queries, gallery, args.k, args.rule)
     os.makedirs(args.out, exist_ok=True)
     formats.write_map_csv(os.path.join(args.out, "map.csv"), args.k, result.map)
@@ -337,9 +342,7 @@ def _cmd_eval_map(args):
 
 
 def _cmd_eval_pr(args):
-    labels, _ = formats.read_labels(args.labels)
-    gallery = _load_index(args.gallery_codes, labels)
-    queries = _load_index(args.query_codes, labels)
+    gallery, queries = _load_eval(args)
     thresholds, recalls, precisions = pr_curve(queries, gallery, args.rule)
     os.makedirs(args.out, exist_ok=True)
     formats.write_pr_csv(

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: configuration problems are usage
 errors (1), data and shape problems are validation errors (2), and
-NumericError aborts a run (3).
+NumericError and StaleCacheError abort a run (3).
 """
 
 

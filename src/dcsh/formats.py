@@ -20,6 +20,8 @@ FEATURE_MAGIC = b"DCSHFEAT"
 CODE_MAGIC = b"DCSHCODE"
 MODEL_MAGIC = b"DCSHMODL"
 FORMAT_VERSION = 1
+# The bytes of a text file: line ends, tab and printable ASCII.
+_TEXT_BYTES = b"\t\n" + bytes(range(0x20, 0x7f))
 
 
 def _read_bytes(path):
@@ -43,14 +45,20 @@ def _check_header(path, blob, magic):
 
 
 def _read_lines(path):
-    blob = _read_bytes(path)
-    try:
-        return blob.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        line = len((blob[: exc.start].decode("ascii") + "x").splitlines())
-        raise ParseError(
-            path, f"non-ASCII byte {blob[exc.start]:#04x}", line=line
-        ) from None
+    """The lines of an ASCII text file. As in `read_codes_text`, a line
+    ends in `\\n` or `\\r\\n`, the last one optionally in neither. The
+    first byte above 0x7f, else the first control byte but tab (a lone
+    `\\r` included), is reported with its line."""
+    blob = _read_bytes(path).replace(b"\r\n", b"\n")
+    for kind, allowed in (("non-ASCII", bytes(range(0x80))),
+                          ("control", _TEXT_BYTES)):
+        stray = blob.translate(None, allowed)
+        if stray:
+            pos = blob.index(stray[:1])
+            line = blob.count(b"\n", 0, pos) + 1
+            raise ParseError(path, f"{kind} byte {stray[0]:#04x}", line=line)
+    # `\n` is the only line break left for `splitlines` to find.
+    return blob.decode("ascii").splitlines()
 
 
 def _write_lines(path, lines):

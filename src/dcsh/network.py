@@ -1,7 +1,8 @@
 """The trainable model and its loop: a feed-forward extractor, a
 sigmoid hashing layer, a ReLU intermediate layer, and a sigmoid
-classification layer, trained with plain SGD on the combined
-correlation loss while the hash centers are re-estimated every epoch.
+classification layer, trained with SGD (optional heavy-ball momentum,
+`--momentum`, 0 by default) on the combined correlation loss while the
+hash centers are re-estimated every epoch.
 
 Everything is float64 and seeded; two runs from the same configuration
 produce byte-identical artifacts.
@@ -195,23 +196,22 @@ def sgd_step(model, grads, lr, momentum=0.0, velocity=None):
     for idx, (dW, db) in enumerate(grads):
         if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
             raise NumericError(f"non-finite gradient in layer {idx}")
-    if momentum > 0.0:
-        if velocity is None:
-            velocity = [
-                (np.zeros_like(W), np.zeros_like(b)) for W, b in model.layers
-            ]
-        for (W, b), (vW, vb), (dW, db) in zip(model.layers, velocity, grads):
+    if not momentum > 0.0:
+        velocity = None
+    elif velocity is None:
+        velocity = [
+            (np.zeros_like(W), np.zeros_like(b)) for W, b in model.layers
+        ]
+    for idx, ((W, b), (dW, db)) in enumerate(zip(model.layers, grads)):
+        if velocity is not None:
+            vW, vb = velocity[idx]
             vW *= momentum
             vW += dW
             vb *= momentum
             vb += db
-            W -= lr * vW
-            b -= lr * vb
-    else:
-        velocity = None
-        for (W, b), (dW, db) in zip(model.layers, grads):
-            W -= lr * dW
-            b -= lr * db
+            dW, db = vW, vb
+        W -= lr * dW
+        b -= lr * db
     model.version += 1
     return velocity
 
@@ -381,30 +381,26 @@ def finite_difference_report(seed=1, h=1e-5):
     rng = np.random.default_rng(seed)
     rows = []
 
-    def rel_err(analytic, numeric):
+    def check(name, loss, X, analytic):
+        numeric = fd_gradient(loss, X, h)
         scale = max(np.abs(numeric).max(), 1e-12)
-        return float(np.abs(analytic - numeric).max() / scale)
+        rows.append((name, float(np.abs(analytic - numeric).max() / scale)))
 
     X = rng.standard_normal((12, 3))
     Y = rng.standard_normal((12, 3))
     k = k_max(3, 3, 12)
     _, _, grad = cca_loss(X, Y, k)
-    fd = fd_gradient(lambda A: cca_loss(A, Y, k)[0], X, h)
-    rows.append(("cca_loss grad 12x3", rel_err(grad, fd)))
+    check("cca_loss grad 12x3", lambda A: cca_loss(A, Y, k)[0], X, grad)
 
     X_h = rng.standard_normal((20, 4))
     Y_h = rng.standard_normal((20, 4))
     X_c = rng.standard_normal((20, 3))
     Y_c = rng.standard_normal((20, 3))
     _, g_xh, g_xc = dcsh_loss(X_h, Y_h, X_c, Y_c, 1.5)
-    fd_h = fd_gradient(
-        lambda A: dcsh_loss(A, Y_h, X_c, Y_c, 1.5)[0], X_h, h
-    )
-    fd_c = fd_gradient(
-        lambda A: dcsh_loss(X_h, Y_h, A, Y_c, 1.5)[0], X_c, h
-    )
-    rows.append(("dcsh_loss grad_Xh 20x4", rel_err(g_xh, fd_h)))
-    rows.append(("dcsh_loss grad_Xc 20x3", rel_err(g_xc, fd_c)))
+    check("dcsh_loss grad_Xh 20x4",
+          lambda A: dcsh_loss(A, Y_h, X_c, Y_c, 1.5)[0], X_h, g_xh)
+    check("dcsh_loss grad_Xc 20x3",
+          lambda A: dcsh_loss(X_h, Y_h, A, Y_c, 1.5)[0], X_c, g_xc)
 
     model = build_model(D=6, C=3, bits=4, hidden=(8,), d_int=12, seed=seed)
     Xb = rng.standard_normal((24, 6))
@@ -412,35 +408,25 @@ def finite_difference_report(seed=1, h=1e-5):
     Y_cb = np.zeros((24, 3))
     Y_cb[np.arange(24), rng.integers(0, 3, size=24)] = 1.0
 
-    def end_to_end():
-        x_h, x_c, cache = forward(model, Xb)
-        loss, g_xh, g_xc = dcsh_loss(x_h, Y_hb, x_c, Y_cb, 1.5)
-        return loss, backward(model, cache, g_xh, g_xc)
-
-    _, grads = end_to_end()
-    for idx in range(len(model.layers)):
-        W, b = model.layers[idx]
-
-        def loss_for_W(Wp, idx=idx, W=W, b=b):
-            model.layers[idx] = (Wp.copy(), b)
-            model.version += 1
+    def loss_with(idx, part):
+        """The loss as a function of layer idx's weights (part 0) or
+        biases (part 1, probed as one row); the layer is restored after
+        each forward pass."""
+        def loss(P):
+            saved = model.layers[idx]
+            layer = list(saved)
+            layer[part] = P.reshape(saved[part].shape)
+            model.layers[idx] = tuple(layer)
             x_h, x_c, _ = forward(model, Xb)
-            value = dcsh_loss(x_h, Y_hb, x_c, Y_cb, 1.5)[0]
-            model.layers[idx] = (W, b)
-            model.version += 1
-            return value
+            model.layers[idx] = saved
+            return dcsh_loss(x_h, Y_hb, x_c, Y_cb, 1.5)[0]
+        return loss
 
-        def loss_for_b(bp, idx=idx, W=W, b=b):
-            model.layers[idx] = (W, bp.ravel().copy())
-            model.version += 1
-            x_h, x_c, _ = forward(model, Xb)
-            value = dcsh_loss(x_h, Y_hb, x_c, Y_cb, 1.5)[0]
-            model.layers[idx] = (W, b)
-            model.version += 1
-            return value
-
-        fd_W = fd_gradient(loss_for_W, W, h)
-        fd_b = fd_gradient(loss_for_b, b[None, :], h)[0]
-        rows.append((f"backward layer {idx} weights", rel_err(grads[idx][0], fd_W)))
-        rows.append((f"backward layer {idx} biases", rel_err(grads[idx][1], fd_b)))
+    x_h, x_c, cache = forward(model, Xb)
+    _, g_xh, g_xc = dcsh_loss(x_h, Y_hb, x_c, Y_cb, 1.5)
+    grads = backward(model, cache, g_xh, g_xc)
+    for idx, layer in enumerate(model.layers):
+        for part, kind in enumerate(("weights", "biases")):
+            check(f"backward layer {idx} {kind}", loss_with(idx, part),
+                  np.atleast_2d(layer[part]), grads[idx][part])
     return rows

@@ -685,11 +685,63 @@ class TestManifestAndConfig:
     (read_centers, b"B=2 C=2 epoch=0\n01\n"),
     (read_loss_csv, b"epoch,train_loss,test_loss\n0,-1.5,\n"),
     (read_config, b"lr=1\r\n"),
-], ids=["labels", "split", "centers", "loss-csv", "config"])
+    # A control byte does not end a line, so the count is unchanged.
+    (read_labels, b"classes=2\n0\x1c1\n"),
+    (read_split, b"query\x0bgallery\n"),
+    (read_centers, b"B=2 C=2 epoch=0\x0c\n01\n"),
+    (read_loss_csv, b"epoch,train_loss,test_loss\r\n0,-1.5,\r\r\n"),
+    (read_config, b"lr=1\x1e\r\n"),
+], ids=["labels", "split", "centers", "loss-csv", "config",
+        "labels-control", "split-control", "centers-control",
+        "loss-csv-control", "config-control"])
 def test_non_ascii_byte_names_its_line(tmp_path, read, head):
     path = tmp_path / "file.txt"
     path.write_bytes(head + b"1\xff\n")
     with pytest.raises(ParseError) as err:
         read(path)
-    line = len(head.splitlines()) + 1
+    line = head.count(b"\n") + 1
     assert str(err.value) == f"{path}:{line}: non-ASCII byte 0xff"
+
+
+@pytest.mark.parametrize("read, text, line, byte", [
+    (read_labels, b"classes=2\n0\n1\x1c1\n", 3, 0x1c),
+    (read_labels, b"classes=2\n0\x0c\n1\n", 2, 0x0c),
+    (read_labels, b"classes=2\n0\r\r\n1\r\n", 2, 0x0d),
+    (read_labels, b"classes=2\r0\n1\n", 1, 0x0d),
+    (read_split, b"query\x0bgallery\n", 1, 0x0b),
+    (read_split, b"query\ngallery\r", 2, 0x0d),
+    (read_centers, b"B=2 C=2 epoch=0\x0b\n01\n10\n", 1, 0x0b),
+    (read_centers, b"B=2 C=2 epoch=0\n01\r10\n", 2, 0x0d),
+    (read_loss_csv, b"epoch,train_loss,test_loss\n0,-1.5\x0c,\n", 2, 0x0c),
+    (read_config, b"lr=1\n\x00\n", 2, 0x00),
+], ids=["labels-inner", "labels-trailing", "labels-cr-crlf", "labels-lone-cr",
+        "split-vt", "split-final-cr", "centers-header", "centers-lone-cr",
+        "loss-csv", "config-nul"])
+def test_control_byte_names_its_line(tmp_path, read, text, line, byte):
+    """Lines end only at `\\n` or `\\r\\n`; any other control byte but
+    tab is rejected on its own line, where `int()`, `float()`, `split()`
+    or `strip()` would have dropped a trailing one silently."""
+    path = tmp_path / "file.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:{line}: control byte {byte:#04x}"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("last", [True, False], ids=["final-end", "no-final-end"])
+def test_line_ends_read_alike(tmp_path, end, last):
+    def write(name, lines):
+        path = tmp_path / name
+        path.write_bytes(end.join(lines) + (end if last else b""))
+        return path
+
+    labels, C = read_labels(write("l.txt", [b"classes=3", b"0,2", b"1"]))
+    assert C == 3 and [l.classes for l in labels] == [(0, 2), (1,)]
+    assert read_split(write("s.txt", [b"query", b"gallery+train"])) == [
+        "query", "gallery+train"]
+    centers = read_centers(write("c.txt", [b"B=3 C=2 epoch=4", b"011", b"100"]))
+    np.testing.assert_array_equal(centers.codes, [[0, 1, 1], [1, 0, 0]])
+    assert centers.epoch == 4
+    assert read_config(write("k.txt", [b"lr=1", b"", b"bits=8"])) == {
+        "lr": "1", "bits": "8"}

@@ -203,6 +203,21 @@ class TestBackward:
         for name, err in rows:
             assert err < 1e-3, f"{name}: {err}"
 
+    @pytest.mark.parametrize("layer", [0, 1, 2, 3])
+    @pytest.mark.parametrize("part", [0, 1], ids=["weights", "biases"])
+    def test_report_names_a_wrong_gradient(self, monkeypatch, layer, part):
+        def skewed(model, cache, grad_xh, grad_xc):
+            grads = [list(g) for g in backward(model, cache, grad_xh, grad_xc)]
+            grads[layer][part] = grads[layer][part] * 1.01
+            return grads
+
+        monkeypatch.setattr(network, "backward", skewed)
+        wrong = f"backward layer {layer} {('weights', 'biases')[part]}"
+        rows = finite_difference_report(seed=1)
+        assert len(rows) == 11
+        for name, err in rows:
+            assert (err >= 1e-3) == (name == wrong), f"{name}: {err}"
+
     def test_zero_upstream_gives_zero_grads(self):
         m = tiny_model(seed=4)
         X = np.random.default_rng(4).standard_normal((10, 6))
@@ -285,6 +300,37 @@ class TestSgdStep:
         v = sgd_step(m, grads, lr=0.1, momentum=0.5, velocity=v)
         # velocity 0.5 * 2 + 2 = 3, parameter 0.8 - 0.3 = 0.5
         assert abs(m.layers[0][0][0, 0] - 0.5) < 1e-15
+
+    def test_heavy_ball_matches_hand_loop(self):
+        m, ref = tiny_model(seed=11), tiny_model(seed=11)
+        rng = np.random.default_rng(11)
+        velocity = None
+        ref_v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in ref.layers]
+        for _ in range(3):
+            grads = [(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
+                     for W, b in m.layers]
+            velocity = sgd_step(m, grads, 0.05, 0.9, velocity)
+            for (W, b), (vW, vb), (dW, db) in zip(ref.layers, ref_v, grads):
+                vW[...] = 0.9 * vW + dW
+                vb[...] = 0.9 * vb + db
+                W[...] = W - 0.05 * vW
+                b[...] = b - 0.05 * vb
+        for (W, b), (W0, b0) in zip(m.layers, ref.layers):
+            assert W.tobytes() == W0.tobytes() and b.tobytes() == b0.tobytes()
+        for (vW, vb), (vW0, vb0) in zip(velocity, ref_v):
+            assert vW.tobytes() == vW0.tobytes()
+            assert vb.tobytes() == vb0.tobytes()
+
+    def test_zero_momentum_ignores_velocity(self):
+        m = self.one_param_model(1.0)
+        grads = self.zero_grads(m)
+        grads[0] = (np.array([[2.0]]), np.zeros(1))
+        velocity = [(np.full_like(W, 3.0), np.full_like(b, 3.0))
+                    for W, b in m.layers]
+        assert sgd_step(m, grads, lr=0.1, velocity=velocity) is None
+        assert abs(m.layers[0][0][0, 0] - 0.8) < 1e-15
+        for vW, vb in velocity:
+            assert (vW == 3.0).all() and (vb == 3.0).all()
 
     def test_version_counts_updates(self):
         m = self.one_param_model(1.0)
