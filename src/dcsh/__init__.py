@@ -16,13 +16,12 @@ from .cca import (
 )
 from .centers import (
     HashCenterSet,
-    LabelSet,
     assign_target,
     gen_bernoulli_centers,
     gen_hadamard_centers,
     update_centers,
 )
-from .data import Dataset, gen_synthetic, multi_hot
+from .data import Dataset, LabelSet, gen_synthetic, multi_hot
 from .errors import (
     ConfigurationError,
     CoverageError,

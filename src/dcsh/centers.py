@@ -8,11 +8,11 @@ class center is recomputed from the network's hash outputs.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import kernels
+from .data import LabelSet, check_label_table
 from .errors import (
     ConfigurationError,
     CoverageError,
@@ -22,52 +22,6 @@ from .errors import (
 
 # Candidate sets drawn by `gen_bernoulli_centers` unless told otherwise.
 BERNOULLI_TRIALS = 100
-
-
-@dataclass(frozen=True)
-class LabelSet:
-    """Non-empty set of class indices attached to one sample."""
-
-    classes: tuple
-
-    def __init__(self, classes):
-        items = tuple(sorted(int(c) for c in classes))
-        if not items:
-            raise LabelError("label set is empty")
-        if len(set(items)) != len(items):
-            raise LabelError(f"duplicate class indices in {items}")
-        if items[0] < 0:
-            raise LabelError(f"negative class index in {items}")
-        object.__setattr__(self, "classes", items)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __contains__(self, c):
-        return c in self.classes
-
-
-def label_incidence(labels, C=None):
-    """Label sets -> N x C boolean table, True where a sample carries a
-    class; column-major, so one class is one contiguous column. C
-    defaults to the largest class + 1."""
-    sets = [(l if isinstance(l, LabelSet) else LabelSet(l)).classes
-            for l in labels]
-    classes = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
-    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    rows = np.repeat(np.arange(len(sets)), counts)
-    if C is None:
-        C = int(classes.max(initial=-1)) + 1
-    out = np.flatnonzero(classes >= C)
-    if out.size:
-        n = int(rows[out[0]])
-        raise LabelError(f"sample {n} has class index {sets[n][-1]} >= C={C}")
-    table = np.zeros((C, len(sets)), dtype=bool).T
-    table[rows, classes] = True
-    return table
 
 
 @dataclass(frozen=True)
@@ -143,16 +97,23 @@ def gen_bernoulli_centers(B, C, seed, trials=BERNOULLI_TRIALS):
 
 
 def min_pairwise_distance(centers):
-    """Smallest Hamming distance over all codeword pairs."""
+    """Smallest Hamming distance, the popcount of the XOR, over all pairs.
+    Blocks of SCAN_BLOCK_WORDS // (C * W) rows are XORed against every
+    row after the block's first, so only one block's XOR is held."""
     if centers.C < 2:
         raise ConfigurationError("need at least two codewords")
     words = kernels.pack_codes(centers.codes)
-    i, j = np.triu_indices(centers.C, k=1)
-    # The distance of a pair is the popcount of its XOR: one scan of all
-    # pairs against the zero code.
-    return int(kernels.scan_distances(
-        words[i] ^ words[j], np.zeros(words.shape[1], dtype=np.uint64)
-    ).min())
+    zero = np.zeros(words.shape[1], dtype=np.uint64)
+    step = max(1, kernels.SCAN_BLOCK_WORDS // words.size)
+    best = centers.B
+    for lo in range(0, centers.C - 1, step):
+        xor = words[lo:lo + step, None] ^ words[None, lo + 1:]
+        d = kernels.scan_distances(xor.reshape(-1, words.shape[1]), zero)
+        d = d.reshape(xor.shape[:2])
+        # Row r is i = lo + r and column k is j = lo + 1 + k: mask j <= i.
+        d[np.tri(*d.shape, k=-1, dtype=bool)] = centers.B
+        best = min(best, int(d.min()))
+    return best
 
 
 def assign_target(labels, centers, seed):
@@ -206,11 +167,7 @@ def update_centers(hashes, Y, epoch=0):
         )
     if not np.all(np.isfinite(H)):
         raise DimensionError("hashes contain non-finite entries")
-    if not ((Y == 0) | (Y == 1)).all():
-        raise DimensionError("label table entries must be 0 or 1")
-    empty = np.flatnonzero(~Y.any(axis=1))
-    if empty.size:
-        raise LabelError(f"sample {empty[0]} has no class")
+    check_label_table(Y)
     missing = np.flatnonzero(~Y.any(axis=0))
     if missing.size:
         raise CoverageError(f"class {missing[0]} has no samples")

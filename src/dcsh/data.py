@@ -1,4 +1,5 @@
-"""Datasets: feature matrix, per-sample label sets, and split tags.
+"""Datasets (features, N x C 0/1 label table, split tags) and the label
+code: `LabelSet`, `label_incidence`, `multi_hot`, `check_label_table`.
 
 Also provides the seeded synthetic generator used for desk-scale runs:
 class prototypes on a scaled unit sphere, unit Gaussian noise, optional
@@ -7,11 +8,11 @@ the gallery.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .centers import LabelSet, label_incidence
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, LabelError
 
 TAG_TRAIN = "train"
 TAG_GALLERY = "gallery"
@@ -22,15 +23,14 @@ SPLIT_TAGS = (TAG_TRAIN, TAG_GALLERY, TAG_QUERY, TAG_GALLERY_TRAIN)
 
 @dataclass(frozen=True)
 class Dataset:
-    """N samples: features (N x D), label sets over C classes, split tags."""
+    """N samples: features (N x D), float64 N x C 0/1 label table, tags."""
 
     features: np.ndarray
-    labels: tuple
-    C: int
+    labels: np.ndarray
     tags: tuple
 
     def __post_init__(self):
-        # A view, so the caller's array stays writeable.
+        # Views, so the caller's arrays stay writeable.
         F = np.ascontiguousarray(self.features, dtype=np.float64).view()
         if F.ndim != 2:
             raise DimensionError(f"features must be 2-D, got ndim={F.ndim}")
@@ -38,17 +38,14 @@ class Dataset:
             raise DimensionError("features contain non-finite entries")
         F.setflags(write=False)
         object.__setattr__(self, "features", F)
-        labels = tuple(
-            l if isinstance(l, LabelSet) else LabelSet(l) for l in self.labels
-        )
-        object.__setattr__(self, "labels", labels)
-        if len(labels) != F.shape[0]:
+        Y = np.ascontiguousarray(self.labels, dtype=np.float64).view()
+        if Y.ndim != 2 or Y.shape[0] != F.shape[0]:
             raise DimensionError(
-                f"{len(labels)} label sets vs {F.shape[0]} feature rows"
+                f"label table of shape {Y.shape} vs {F.shape[0]} feature rows"
             )
-        if self.C < 1:
-            raise ConfigurationError(f"need at least one class, got C={self.C}")
-        label_incidence(labels, self.C)  # LabelError for a class >= C
+        check_label_table(Y)
+        Y.setflags(write=False)
+        object.__setattr__(self, "labels", Y)
         tags = tuple(self.tags)
         object.__setattr__(self, "tags", tags)
         if len(tags) != F.shape[0]:
@@ -60,6 +57,10 @@ class Dataset:
                 raise ConfigurationError(
                     f"sample {n} has unknown split tag {tag!r}"
                 )
+
+    @property
+    def C(self):
+        return self.labels.shape[1]
 
     @property
     def N(self):
@@ -97,9 +98,64 @@ def split_indices(tags, which):
     )
 
 
+@dataclass(frozen=True)
+class LabelSet:
+    """Non-empty set of class indices attached to one sample."""
+
+    classes: tuple
+
+    def __init__(self, classes):
+        items = tuple(sorted(int(c) for c in classes))
+        if not items:
+            raise LabelError("label set is empty")
+        if len(set(items)) != len(items):
+            raise LabelError(f"duplicate class indices in {items}")
+        if items[0] < 0:
+            raise LabelError(f"negative class index in {items}")
+        object.__setattr__(self, "classes", items)
+
+    def __len__(self):
+        return len(self.classes)
+
+    def __iter__(self):
+        return iter(self.classes)
+
+    def __contains__(self, c):
+        return c in self.classes
+
+
+def label_incidence(labels, C=None):
+    """Label sets -> N x C boolean table, True where a sample carries a
+    class; column-major, so one class is one contiguous column. C
+    defaults to the largest class + 1."""
+    sets = [(l if isinstance(l, LabelSet) else LabelSet(l)).classes
+            for l in labels]
+    classes = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
+    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    rows = np.repeat(np.arange(len(sets)), counts)
+    if C is None:
+        C = int(classes.max(initial=-1)) + 1
+    out = np.flatnonzero(classes >= C)
+    if out.size:
+        n = int(rows[out[0]])
+        raise LabelError(f"sample {n} has class index {sets[n][-1]} >= C={C}")
+    table = np.zeros((C, len(sets)), dtype=bool).T
+    table[rows, classes] = True
+    return table
+
+
 def multi_hot(labels, C):
     """Label sets -> N x C float64 indicator matrix."""
     return label_incidence(labels, C).astype(np.float64, order="C")
+
+
+def check_label_table(Y):
+    """The one check of a label table: entries 0 or 1, a class per row."""
+    if not ((Y == 0) | (Y == 1)).all():
+        raise DimensionError("label table entries must be 0 or 1")
+    empty = np.flatnonzero(~Y.any(axis=1))
+    if empty.size:
+        raise LabelError(f"sample {empty[0]} has no class")
 
 
 def gen_synthetic(N, D, C, B_separation=6.0, multilabel_p=0.0, seed=0,
@@ -140,16 +196,14 @@ def gen_synthetic(N, D, C, B_separation=6.0, multilabel_p=0.0, seed=0,
     means = protos[base].copy()
     means[second_mask] = (protos[base] + protos[second])[second_mask] / 2.0
     features = means + rng.standard_normal((N, D))
-    labels = [
-        LabelSet((base[n], second[n])) if second_mask[n] else LabelSet((base[n],))
-        for n in range(N)
-    ]
+    labels = np.zeros((N, C))
+    labels[np.arange(N), base] = 1.0
+    labels[second_mask, second[second_mask]] = 1.0
     n_query = int(round(query_frac * N))
     tags = [TAG_QUERY] * n_query + [TAG_GALLERY_TRAIN] * (N - n_query)
     perm = rng.permutation(N)
     return Dataset(
         features=features[perm],
-        labels=tuple(labels[int(i)] for i in perm),
-        C=C,
+        labels=labels[perm],
         tags=tuple(tags[int(i)] for i in perm),
     )

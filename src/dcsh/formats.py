@@ -12,8 +12,8 @@ import struct
 import numpy as np
 
 from . import kernels
-from .centers import HashCenterSet, LabelSet
-from .data import SPLIT_TAGS, Dataset
+from .centers import HashCenterSet
+from .data import SPLIT_TAGS, Dataset, LabelSet, multi_hot
 from .errors import DimensionError, LabelError, ParseError
 
 FEATURE_MAGIC = b"DCSHFEAT"
@@ -59,6 +59,24 @@ def _read_lines(path):
             raise ParseError(path, f"{kind} byte {stray[0]:#04x}", line=line)
     # `\n` is the only line break left for `splitlines` to find.
     return blob.decode("ascii").splitlines()
+
+
+def _read_header(path, text, lows):
+    """Values, in `lows` order, of a first line of `key=<int>` fields one
+    space apart, each key of `lows` once and at least its low bound. An
+    int is an optional `-` and digits (ASCII, so `isdigit` means 0-9)."""
+    fields = {}
+    for part in text.split(" "):
+        key, eq, value = part.partition("=")
+        if (eq != "=" or key not in lows or key in fields
+                or not value.removeprefix("-").isdigit()):
+            raise ParseError(path, f"bad header field {part!r}", line=1)
+        fields[key] = int(value)
+        if fields[key] < lows[key]:
+            raise ParseError(path, f"{key} must be >= {lows[key]}", line=1)
+    if len(fields) != len(lows):
+        raise ParseError(path, f"header must set {', '.join(lows)}", line=1)
+    return [fields[key] for key in lows]
 
 
 def _write_lines(path, lines):
@@ -148,22 +166,16 @@ def read_labels(path):
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("classes="):
         raise ParseError(path, "missing classes=<C> header", line=1)
-    try:
-        C = int(lines[0][len("classes="):])
-    except ValueError:
-        raise ParseError(path, f"bad class count {lines[0]!r}", line=1) from None
-    if C < 1:
-        raise ParseError(path, f"class count must be positive, got {C}", line=1)
+    (C,) = _read_header(path, lines[0], {"classes": 1})
     seen = {}
     labels = []
     for ln, text in enumerate(lines[1:], start=2):
         if text not in seen:
+            fields = text.split(",")
+            if not all(map(str.isdigit, fields)):
+                raise ParseError(path, f"bad label line {text!r}", line=ln)
             try:
-                indices = [int(p) for p in text.split(",")]
-            except ValueError:
-                raise ParseError(path, f"bad label line {text!r}", line=ln) from None
-            try:
-                ls = LabelSet(indices)
+                ls = LabelSet(map(int, fields))
             except LabelError as exc:
                 raise ParseError(path, str(exc), line=ln) from None
             if ls.classes[-1] >= C:
@@ -202,7 +214,7 @@ def read_split(path):
 
 def save_dataset(dataset, feature_path, label_path, split_path):
     write_features(feature_path, dataset.features)
-    write_labels(label_path, dataset.labels, dataset.C)
+    write_labels(label_path, map(np.flatnonzero, dataset.labels), dataset.C)
     write_split(split_path, dataset.tags)
 
 
@@ -220,7 +232,7 @@ def load_dataset(feature_path, label_path, split_path):
             split_path,
             f"{len(tags)} split lines vs {X.shape[0]} feature rows",
         )
-    return Dataset(features=X, labels=tuple(labels), C=C, tags=tuple(tags))
+    return Dataset(features=X, labels=multi_hot(labels, C), tags=tuple(tags))
 
 
 # ----------------------------------------------------------------- centers
@@ -234,22 +246,7 @@ def read_centers(path):
     lines = _read_lines(path)
     if not lines:
         raise ParseError(path, "empty center file", line=1)
-    head = lines[0].split()
-    fields = {}
-    for part in head:
-        key, eq, value = part.partition("=")
-        if eq != "=" or key not in ("B", "C", "epoch"):
-            raise ParseError(path, f"bad header field {part!r}", line=1)
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise ParseError(path, f"bad header field {part!r}", line=1) from None
-    if sorted(fields) != ["B", "C", "epoch"]:
-        raise ParseError(path, "header must set B, C and epoch", line=1)
-    B, C, epoch = fields["B"], fields["C"], fields["epoch"]
-    for key, low in (("B", 1), ("C", 1), ("epoch", 0)):
-        if fields[key] < low:
-            raise ParseError(path, f"{key} must be >= {low}", line=1)
+    B, C, epoch = _read_header(path, lines[0], {"B": 1, "C": 1, "epoch": 0})
     rows = lines[1:]
     if len(rows) != C:
         raise ParseError(path, f"expected {C} center lines, found {len(rows)}")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import alpha, cca_loss, dcsh_loss, k_max
-from .centers import LabelSet, assign_target, update_centers
-from .data import multi_hot
+from .centers import assign_target, update_centers
 from .errors import (
     ConfigurationError,
     CoverageError,
@@ -311,13 +310,13 @@ def train(model, config, dataset, centers0):
     has_test = query_idx.shape[0] > max(B, C)
     n_train = train_idx.shape[0]
     rows = np.concatenate([train_idx, query_idx]) if has_test else train_idx
-    Y_c_all = multi_hot([dataset.labels[int(i)] for i in rows], C)
+    Y_c_all = dataset.labels[rows]
     missing = np.flatnonzero(~Y_c_all[:n_train].any(axis=0))
     if missing.size:
         raise CoverageError(f"class {missing[0]} has no training samples")
     distinct, row_set = np.unique(Y_c_all, axis=0, return_inverse=True)
     row_set = row_set.ravel()
-    label_sets = [LabelSet(np.flatnonzero(y)) for y in distinct]
+    label_sets = [np.flatnonzero(y) for y in distinct]
     X_train = dataset.features[train_idx]
     if has_test:
         X_test = dataset.features[query_idx]

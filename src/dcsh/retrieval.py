@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .centers import LabelSet, label_incidence
+from .data import LabelSet, label_incidence
 from .errors import ConfigurationError, DimensionError, LabelError
-# unpack_codes is not used here; it stays importable from this module.
+# unpack_codes is unused here; perfbench/step.py calls retrieval.unpack_codes.
 from .kernels import pack_codes, unpack_codes
 
 SAME_CLASS = "same-class"

@@ -14,9 +14,9 @@ import pytest
 
 from dcsh import formats
 from dcsh.cca import alpha, dcsh_lower_bound, k_max
-from dcsh.centers import LabelSet, gen_hadamard_centers, update_centers
+from dcsh.centers import gen_hadamard_centers, update_centers
 from dcsh.cli import main
-from dcsh.data import multi_hot
+from dcsh.data import LabelSet, multi_hot
 from dcsh.network import finite_difference_report
 from dcsh.retrieval import average_precision, hamming
 

@@ -3,17 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from dcsh import kernels
 from dcsh.centers import (
     HashCenterSet,
-    LabelSet,
     assign_target,
     gen_bernoulli_centers,
     gen_hadamard_centers,
-    label_incidence,
     min_pairwise_distance,
     update_centers,
 )
-from dcsh.data import multi_hot
+from dcsh.data import Dataset, LabelSet, label_incidence, multi_hot
 from dcsh.errors import (
     ConfigurationError,
     CoverageError,
@@ -147,12 +146,18 @@ class TestBernoulli:
 
 
 @pytest.mark.parametrize("B", [1, 63, 64, 65, 67, 128, 130, 200])
-@pytest.mark.parametrize("C", [2, 7])
+@pytest.mark.parametrize("C", [2, 7, 300])
 @pytest.mark.parametrize("tie", [False, True])
 def test_min_pairwise_distance_matches_bit_loop(B, C, tie):
     codes = np.random.default_rng(B * C).integers(0, 2, size=(C, B))
     if tie:
-        codes[-1] = codes[0]
+        # C = 300 spans two to six blocks of the scan at these B; the
+        # tied pair (280, 299) is found in a block after the first.
+        first = max(0, C - 20)
+        if C == 300:
+            step = kernels.SCAN_BLOCK_WORDS // (C * kernels.word_count(B))
+            assert step <= first
+        codes[-1] = codes[first]
     want = min(int((a != b).sum()) for a, b in itertools.combinations(codes, 2))
     assert want == 0 or not tie
     assert min_pairwise_distance(HashCenterSet(codes)) == want
@@ -321,6 +326,21 @@ class TestUpdateCenters:
         Y[2] = 0.0
         with pytest.raises(LabelError, match="sample 2"):
             update_centers(np.full((3, 3), 0.5), Y)
+
+    @pytest.mark.parametrize("row, error", [
+        ([2.0, 0.0], DimensionError),
+        ([0.0, 0.0], LabelError),
+    ], ids=["non-binary", "no-class"])
+    def test_table_check_shared_with_dataset(self, row, error):
+        """One check rejects a bad table, with the same exception type
+        and message in the center update and in `Dataset`."""
+        Y = multi_hot([[0], [1], [0, 1]], 2)
+        Y[1] = row
+        with pytest.raises(error) as in_update:
+            update_centers(np.full((3, 3), 0.5), Y)
+        with pytest.raises(error) as in_dataset:
+            Dataset(np.zeros((3, 2)), Y, tags=("train",) * 3)
+        assert str(in_update.value) == str(in_dataset.value)
 
     def test_uncovered_class_rejected(self):
         Y = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]])

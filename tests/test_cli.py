@@ -517,6 +517,39 @@ class TestExitCodes:
             f"error: {labels}:3: non-ASCII byte 0xe9\n"
         )
 
+    @pytest.mark.parametrize("text, where", [
+        (b"classes=12\n+1\n 2\n1_0\n", ":2: bad label line '+1'"),
+        (b"classes=12\n0\n1_0\n", ":3: bad label line '1_0'"),
+        (b"classes= +3\n0\n1\n", ":1: bad header field 'classes='"),
+    ], ids=["plus", "underscore", "header-space"])
+    def test_lenient_label_file_is_a_data_error(self, tmp_path, capsys, text,
+                                                where):
+        gallery = tmp_path / "codes-gallery.txt"
+        gallery.write_text("0\t1010\n1\t0101\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(text)
+        assert main([
+            "eval-map", "--gallery-codes", str(gallery),
+            "--query-codes", str(gallery), "--labels", str(labels),
+            "--out", str(tmp_path / "eval"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {labels}{where}\n"
+
+    def test_spaced_center_header_is_a_data_error(self, pipeline, tmp_path,
+                                                  capsys):
+        centers = tmp_path / "centers.txt"
+        centers.write_text("B=8  C=4 epoch=0 \n" + "01010101\n" * 4)
+        data = pipeline / "data"
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"), "--centers", str(centers),
+            "--out", str(tmp_path / "out"), "--bits", "8", "--epochs", "1",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {centers}:1: bad header field ''\n"
+        )
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == __version__

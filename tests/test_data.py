@@ -1,24 +1,41 @@
 import numpy as np
 import pytest
 
-from dcsh.centers import LabelSet
-from dcsh.data import Dataset, gen_synthetic, multi_hot
+from dcsh.data import Dataset, check_label_table, gen_synthetic, multi_hot
 from dcsh.errors import ConfigurationError, DimensionError, LabelError
+
+
+def one_label(*classes):
+    """A one-label-per-row table of width max(classes) + 1."""
+    return multi_hot([[c] for c in classes], max(classes) + 1)
 
 
 class TestDataset:
     def make(self):
         return Dataset(
             features=np.arange(8, dtype=np.float64).reshape(4, 2),
-            labels=[[0], [1], [0, 1], [1]],
-            C=2,
+            labels=multi_hot([[0], [1], [0, 1], [1]], 2),
             tags=("query", "gallery+train", "gallery", "train"),
         )
 
     def test_shape_properties(self):
         ds = self.make()
         assert ds.N == 4 and ds.D == 2 and ds.C == 2
-        assert all(isinstance(l, LabelSet) for l in ds.labels)
+        assert ds.labels.dtype == np.float64 and ds.labels.flags.c_contiguous
+        np.testing.assert_array_equal(
+            ds.labels, [[1, 0], [0, 1], [1, 1], [0, 1]]
+        )
+
+    def test_has_three_fields(self):
+        assert list(Dataset.__dataclass_fields__) == [
+            "features", "labels", "tags"
+        ]
+
+    def test_C_is_the_table_width(self):
+        # The last class has no sample; the width still counts it.
+        ds = Dataset(np.zeros((2, 2)), multi_hot([[0], [1]], 4),
+                     tags=("train",) * 2)
+        assert ds.C == 4
 
     def test_split_indices(self):
         ds = self.make()
@@ -31,31 +48,82 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
+    def test_labels_read_only(self):
+        ds = self.make()
+        with pytest.raises(ValueError):
+            ds.labels[0, 1] = 1.0
+
     def test_callers_features_stay_writeable(self):
         F = np.zeros((2, 2))
-        ds = Dataset(F, [[0], [0]], C=1, tags=("train",) * 2)
+        Y = one_label(0, 0)
+        ds = Dataset(F, Y, tags=("train",) * 2)
         assert np.shares_memory(ds.features, F)
         assert F.flags.writeable and not ds.features.flags.writeable
+        assert np.shares_memory(ds.labels, Y)
+        assert Y.flags.writeable and not ds.labels.flags.writeable
 
     def test_label_count_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            Dataset(np.zeros((3, 2)), [[0]], C=1, tags=("train",) * 3)
+        with pytest.raises(DimensionError, match=r"\(1, 1\) vs 3"):
+            Dataset(np.zeros((3, 2)), one_label(0), tags=("train",) * 3)
 
     def test_tag_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            Dataset(np.zeros((2, 2)), [[0], [0]], C=1, tags=("train",))
+            Dataset(np.zeros((2, 2)), one_label(0, 0), tags=("train",))
 
     def test_out_of_range_label_rejected(self):
-        with pytest.raises(LabelError):
-            Dataset(np.zeros((1, 2)), [[3]], C=2, tags=("train",))
+        # A class >= C cannot reach a Dataset: multi_hot, which builds
+        # the table from label sets, rejects it.
+        with pytest.raises(LabelError, match="class index 3 >= C=2"):
+            Dataset(np.zeros((1, 2)), multi_hot([[3]], 2), tags=("train",))
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    def test_non_binary_entry_rejected(self, bad):
+        Y = one_label(0, 1)
+        Y[1, 0] = bad
+        with pytest.raises(DimensionError, match="0 or 1"):
+            Dataset(np.zeros((2, 2)), Y, tags=("train",) * 2)
+
+    def test_row_without_class_rejected(self):
+        Y = one_label(0, 1, 0)
+        Y[1] = 0.0
+        with pytest.raises(LabelError, match="sample 1 has no class"):
+            Dataset(np.zeros((3, 2)), Y, tags=("train",) * 3)
+
+    def test_one_dimensional_table_rejected(self):
+        with pytest.raises(DimensionError, match="label table of shape"):
+            Dataset(np.zeros((2, 2)), np.ones(2), tags=("train",) * 2)
+
+    def test_zero_classes_rejected(self):
+        with pytest.raises(LabelError, match="sample 0 has no class"):
+            Dataset(np.zeros((1, 2)), np.zeros((1, 0)), tags=("train",))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigurationError):
-            Dataset(np.zeros((1, 2)), [[0]], C=1, tags=("test",))
+            Dataset(np.zeros((1, 2)), one_label(0), tags=("test",))
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(DimensionError):
-            Dataset(np.array([[np.inf, 0.0]]), [[0]], C=1, tags=("train",))
+            Dataset(np.array([[np.inf, 0.0]]), one_label(0),
+                    tags=("train",))
+
+
+class TestCheckLabelTable:
+    def test_good_tables_pass(self):
+        check_label_table(multi_hot([[0], [1, 2]], 3))
+        check_label_table(np.array([[True, False]]))
+
+    @pytest.mark.parametrize("Y, error, message", [
+        (np.array([[1.0, 2.0]]), DimensionError,
+         "label table entries must be 0 or 1"),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), LabelError,
+         "sample 1 has no class"),
+        (np.array([[0.0, 0.5], [0.0, 0.0]]), DimensionError,
+         "label table entries must be 0 or 1"),
+    ], ids=["non-binary", "empty-row", "non-binary-before-empty-row"])
+    def test_rejections(self, Y, error, message):
+        with pytest.raises(error) as err:
+            check_label_table(Y)
+        assert str(err.value) == message
 
 
 class TestMultiHot:
@@ -81,27 +149,24 @@ class TestGenSynthetic:
 
     def test_all_labels_singleton_without_multilabel(self):
         ds = gen_synthetic(N=60, D=8, C=4, multilabel_p=0.0, seed=1)
-        assert all(len(l) == 1 for l in ds.labels)
+        assert (ds.labels.sum(axis=1) == 1).all()
 
     def test_multilabel_fraction(self):
         ds = gen_synthetic(N=2000, D=8, C=4, multilabel_p=0.4, seed=2)
-        doubles = sum(1 for l in ds.labels if len(l) == 2)
-        assert all(len(l) in (1, 2) for l in ds.labels)
-        assert 0.3 < doubles / ds.N < 0.5
+        sizes = ds.labels.sum(axis=1)
+        assert np.isin(sizes, (1, 2)).all()
+        assert 0.3 < (sizes == 2).mean() < 0.5
 
     def test_every_class_covered_in_training(self):
         for seed in range(5):
             ds = gen_synthetic(N=30, D=8, C=7, seed=seed, query_frac=0.2)
-            seen = set()
-            for i in ds.train_indices:
-                seen.update(ds.labels[int(i)].classes)
-            assert seen == set(range(7))
+            assert ds.labels[ds.train_indices].any(axis=0).all()
 
     def test_same_seed_is_identical(self):
         a = gen_synthetic(N=50, D=8, C=4, multilabel_p=0.3, seed=9)
         b = gen_synthetic(N=50, D=8, C=4, multilabel_p=0.3, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
-        assert a.labels == b.labels
+        np.testing.assert_array_equal(a.labels, b.labels)
         assert a.tags == b.tags
 
     def test_seed_changes_features(self):
@@ -116,7 +181,7 @@ class TestGenSynthetic:
         train_idx = ds.train_indices
         query_idx = ds.query_indices
         X = ds.features
-        y = np.array([ds.labels[int(i)].classes[0] for i in range(ds.N)])
+        y = ds.labels.argmax(axis=1)
         centroids = np.stack([
             X[train_idx][y[train_idx] == c].mean(axis=0) for c in range(8)
         ])
@@ -130,7 +195,7 @@ class TestGenSynthetic:
         far = gen_synthetic(N=400, D=8, C=4, B_separation=12.0, seed=4)
 
         def spread(ds):
-            y = np.array([ds.labels[int(i)].classes[0] for i in range(ds.N)])
+            y = ds.labels.argmax(axis=1)
             cents = np.stack([
                 ds.features[y == c].mean(axis=0) for c in range(4)
             ])
@@ -143,19 +208,14 @@ class TestGenSynthetic:
     def test_multilabel_means_sit_between_prototypes(self):
         ds = gen_synthetic(N=3000, D=8, C=3, B_separation=10.0,
                            multilabel_p=0.5, seed=5, query_frac=0.0)
-        y_single = [
-            (i, ds.labels[int(i)].classes[0])
-            for i in range(ds.N) if len(ds.labels[int(i)]) == 1
-        ]
+        single = ds.labels.sum(axis=1) == 1
         X = ds.features
-        cents = {}
-        for c in range(3):
-            rows = [i for i, cc in y_single if cc == c]
-            cents[c] = X[rows].mean(axis=0)
-        pair_rows = [
-            i for i in range(ds.N) if ds.labels[int(i)].classes == (0, 1)
-        ]
-        assert pair_rows
+        cents = {
+            c: X[single & (ds.labels[:, c] == 1)].mean(axis=0)
+            for c in range(3)
+        }
+        pair_rows = (ds.labels == [1, 1, 0]).all(axis=1)
+        assert pair_rows.any()
         mid = X[pair_rows].mean(axis=0)
         expect = (cents[0] + cents[1]) / 2
         assert np.linalg.norm(mid - expect) < 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcsh.centers import HashCenterSet, gen_bernoulli_centers
-from dcsh.data import gen_synthetic
+from dcsh.data import gen_synthetic, multi_hot
 from dcsh.errors import DimensionError, ParseError
 from dcsh.formats import (
     read_centers,
@@ -166,6 +167,41 @@ class TestLabels:
         assert err.value.line == 10
         assert str(err.value) == f"{path}:10: class index 3 >= C=3"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("classes=12\n+1\n 2\n1_0\n", 2, "bad label line '+1'"),
+        ("classes=12\n0\n 2\n", 3, "bad label line ' 2'"),
+        ("classes=12\n0\n1_0\n", 3, "bad label line '1_0'"),
+        ("classes=12\n0\n2 \n", 3, "bad label line '2 '"),
+        ("classes=12\n0\n-1\n", 3, "bad label line '-1'"),
+        ("classes=12\n1,\n", 2, "bad label line '1,'"),
+        ("classes=12\n1,,2\n", 2, "bad label line '1,,2'"),
+        ("classes=12\n0\n\n", 3, "bad label line ''"),
+        ("classes= +3\n0\n", 1, "bad header field 'classes='"),
+        ("classes=+3\n0\n", 1, "bad header field 'classes=+3'"),
+        ("classes=3 \n0\n", 1, "bad header field ''"),
+        ("classes=1_0\n0\n", 1, "bad header field 'classes=1_0'"),
+        ("classes=3 classes=3\n0\n", 1, "bad header field 'classes=3'"),
+        ("classes=0\n0\n", 1, "classes must be >= 1"),
+        ("classes=-2\n0\n", 1, "classes must be >= 1"),
+    ], ids=["plus", "space", "underscore", "trailing-space", "negative",
+            "trailing-comma", "empty-field", "empty-line", "header-space",
+            "header-plus", "header-trailing-space", "header-underscore",
+            "header-twice", "header-zero", "header-negative"])
+    def test_strict_grammar(self, tmp_path, text, line, message):
+        """A class is one or more ASCII digits; the header is one
+        `classes=<int>` field."""
+        path = tmp_path / "l.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_leading_zeros_read_as_digits(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("classes=012\n007,10\n")
+        labels, C = read_labels(path)
+        assert C == 12 and labels[0].classes == (7, 10)
+
 
 class TestSplit:
     def test_roundtrip(self, tmp_path):
@@ -189,9 +225,32 @@ class TestDatasetIo:
         save_dataset(ds, f, l, s)
         back = load_dataset(f, l, s)
         np.testing.assert_array_equal(back.features, ds.features)
-        assert back.labels == ds.labels
+        np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.tags == ds.tags
         assert back.C == ds.C
+
+    def test_load_builds_the_table_with_multi_hot(self, tmp_path):
+        f, l, s = tmp_path / "f.bin", tmp_path / "l.txt", tmp_path / "s.txt"
+        write_features(f, np.zeros((3, 2)))
+        write_labels(l, [[0], [2, 1], [0]], C=4)
+        write_split(s, ["train"] * 3)
+        back = load_dataset(f, l, s)
+        assert back.C == 4
+        np.testing.assert_array_equal(
+            back.labels, multi_hot([[0], [1, 2], [0]], 4)
+        )
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "3c69eb3849104aa8a62114f7c39aafad11fd76a65a6cb98973804fd210c9f775"),
+        (1, "40149a5e55ed0d0eed3907ac7318a2818f35de49e4ff94202acd6cbc9be6a31f"),
+    ])
+    def test_synthetic_labels_file_is_golden(self, tmp_path, seed, digest):
+        """The label file of a seeded multi-label dataset, byte for byte,
+        as written when `Dataset` still held one label set per row."""
+        ds = gen_synthetic(N=300, D=8, C=5, multilabel_p=0.4, seed=seed)
+        f, l, s = tmp_path / "f.bin", tmp_path / "l.txt", tmp_path / "s.txt"
+        save_dataset(ds, f, l, s)
+        assert hashlib.sha256(l.read_bytes()).hexdigest() == digest
 
     def test_count_mismatch_names_offender(self, tmp_path):
         ds = gen_synthetic(N=10, D=6, C=3, seed=0)
@@ -243,6 +302,32 @@ class TestCenters:
         with pytest.raises(ParseError) as err:
             read_centers(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("head, message", [
+        ("B=4  C=2 epoch=0 ", "bad header field ''"),
+        ("B=4 C=2 epoch=0 ", "bad header field ''"),
+        (" B=4 C=2 epoch=0", "bad header field ''"),
+        ("B=4\tC=2 epoch=0", "bad header field 'B=4\\tC=2'"),
+        ("B=+4 C=2 epoch=0", "bad header field 'B=+4'"),
+        ("B=4 C=2 epoch=0_0", "bad header field 'epoch=0_0'"),
+        ("B=4 C=2 epoch=0 B=4", "bad header field 'B=4'"),
+        ("B=4 C=2 seed=0", "bad header field 'seed=0'"),
+        ("B=4 C=2", "header must set B, C, epoch"),
+    ], ids=["two-spaces", "trailing-space", "leading-space", "tab", "plus",
+            "underscore", "twice", "unknown-key", "missing-key"])
+    def test_strict_header(self, tmp_path, head, message):
+        """Fields are `key=<int>`, one space apart, each key once."""
+        path = tmp_path / "c.txt"
+        path.write_text(head + "\n1010\n0101\n")
+        with pytest.raises(ParseError) as err:
+            read_centers(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
+    def test_header_fields_in_any_order(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("epoch=3 C=2 B=4\n1010\n0101\n")
+        back = read_centers(path)
+        assert (back.B, back.C, back.epoch) == (4, 2, 3)
 
     @pytest.mark.parametrize("text, message", [
         ("B=-3 C=1 epoch=0\n010\n", "B must be >= 1"),

@@ -9,7 +9,7 @@ from dcsh.centers import (
     gen_hadamard_centers,
     update_centers,
 )
-from dcsh.data import gen_synthetic, multi_hot
+from dcsh.data import gen_synthetic
 from dcsh.errors import (
     ConfigurationError,
     DimensionError,
@@ -469,7 +469,7 @@ class TestTrain:
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([3, 1]))
         train_idx = dataset.train_indices
         X_train = dataset.features[train_idx]
-        labels_train = [dataset.labels[int(i)] for i in train_idx]
+        Y_train = dataset.labels[train_idx]
         M = config.batch_size
         centers = centers0
         k_hash = k_max(8, 4, M)
@@ -482,7 +482,7 @@ class TestTrain:
             for bi in range(train_idx.shape[0] // M):
                 sel = perm[bi * M:(bi + 1) * M]
                 Y_h = np.array([
-                    assign_target(labels_train[int(i)], centers, 3)
+                    assign_target(np.flatnonzero(Y_train[i]), centers, 3)
                     for i in sel
                 ], dtype=np.float64)
                 x_h, x_c, cache = forward(ref, X_train[sel])
@@ -491,8 +491,7 @@ class TestTrain:
                 grads = backward(ref, cache, g_xh, np.zeros_like(x_c))
                 sgd_step(ref, grads, lr)
             x_h_full, _, _ = forward(ref, X_train)
-            centers = update_centers(x_h_full, multi_hot(labels_train, 4),
-                                     epoch=epoch + 1)
+            centers = update_centers(x_h_full, Y_train, epoch=epoch + 1)
         for (W1, b1), (W2, b2) in zip(model.layers, ref.layers):
             np.testing.assert_array_equal(W1, W2)
             np.testing.assert_array_equal(b1, b2)
@@ -503,7 +502,7 @@ class TestTrain:
         dataset = gen_synthetic(N=300, D=8, C=4, multilabel_p=0.5, seed=5,
                                 query_frac=0.2)
         rows = np.concatenate([dataset.train_indices, dataset.query_indices])
-        sets = {dataset.labels[int(i)].classes for i in rows}
+        sets = {tuple(np.flatnonzero(dataset.labels[i]).tolist()) for i in rows}
         assert any(len(s) == 2 for s in sets)
         epochs = 3
         config = TrainConfig(epochs=epochs, batch_size=40, lr=1e-3,
@@ -514,7 +513,9 @@ class TestTrain:
         losses = []
 
         def counting_target(labels, centers, seed):
-            votes.append((labels.classes, centers.epoch))
+            # train hands over a label-table row's sorted class indices
+            assert isinstance(labels, np.ndarray)
+            votes.append((tuple(labels.tolist()), centers.epoch))
             return assign_target(labels, centers, seed)
 
         def recording_forward(model, batch):
@@ -539,8 +540,10 @@ class TestTrain:
         assert len(losses) == epochs * (n_batches + 1)
         for batch, Y_h, epoch in losses:
             want = np.array([
-                assign_target(dataset.labels[row_of[x.tobytes()]],
-                              history[epoch], config.seed)
+                assign_target(
+                    np.flatnonzero(dataset.labels[row_of[x.tobytes()]]),
+                    history[epoch], config.seed,
+                )
                 for x in batch
             ], dtype=np.float64)
             np.testing.assert_array_equal(Y_h, want)

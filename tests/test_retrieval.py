@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsh.centers import LabelSet
+from dcsh.data import LabelSet
 from dcsh.errors import ConfigurationError, DimensionError, LabelError
 from dcsh.retrieval import (
     PackedCodeIndex,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcsh import network, retrieval
+from dcsh import formats, network, retrieval
 from dcsh.centers import gen_hadamard_centers
 from dcsh.data import gen_synthetic
 
@@ -116,6 +116,20 @@ def test_training_reaches_the_timed_targets():
         network.train(model, config, dataset, gen_hadamard_centers(8, 4))
     for name in TRAINING_SPANS:
         assert tracer.counts[name + ".calls"] > 0, name
+
+
+def test_load_dataset_builds_the_label_table(tmp_path):
+    """Training takes its label table from `load_dataset`, so the
+    `data.multi_hot.*` metrics time that one call, over all N rows."""
+    spans = load_spans()
+    paths = [tmp_path / name for name in ("f.bin", "l.txt", "s.txt")]
+    formats.save_dataset(
+        gen_synthetic(N=50, D=6, C=3, multilabel_p=0.4, seed=0), *paths
+    )
+    with spans.installed(spans.Tracer()) as tracer:
+        dataset = formats.load_dataset(*paths)
+    assert tracer.counts["data.multi_hot.calls"] == 1
+    assert tracer.counts["data.multi_hot.rows"] == dataset.N == 50
 
 
 def test_retrieval_reaches_the_timed_targets():
