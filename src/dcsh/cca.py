@@ -73,7 +73,7 @@ def _cca(X, Y, k, reg, clamp):
     stays well defined under ties because a tied block's sum is
     rotation invariant.
     """
-    if reg < 0:
+    if not reg >= 0:
         raise NumericError(f"reg must be non-negative, got {reg}")
     M = X.shape[0]
     Xc = X - X.mean(axis=0, keepdims=True)

@@ -20,15 +20,7 @@ from .centers import (
     min_pairwise_distance,
 )
 from .data import gen_synthetic, split_indices
-from .errors import (
-    ConfigurationError,
-    CoverageError,
-    DimensionError,
-    LabelError,
-    NumericError,
-    ParseError,
-    StaleCacheError,
-)
+from .errors import ConfigurationError, DcshError, DimensionError, ParseError
 from .network import (
     DEFAULT_HIDDEN,
     DcshModel,
@@ -68,6 +60,18 @@ def _parse_hidden(text):
         ) from None
 
 
+def _parse_seed(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _format_value(value):
     if isinstance(value, float):
         return repr(value)
@@ -96,10 +100,10 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
     tables = {}
 
-    def command(name, help_text):
+    def command(name, help_text, handler):
         parser = sub.add_parser(name, help=help_text)
         required = {}
-        tables[name] = (parser, required)
+        tables[name] = (parser, required, handler)
         parser.add_argument(
             "--config", type=str, default=None,
             help="key=value file supplying flag defaults",
@@ -114,9 +118,9 @@ def _build_parser():
             parser.add_argument(
                 flag, dest=dest, type=converter, default=default, help=help,
             )
-        return parser, opt
+        return opt
 
-    _, opt = command("synth", "generate a synthetic dataset")
+    opt = command("synth", "generate a synthetic dataset", _cmd_synth)
     opt("--out", str, required_flag=True, help="output directory")
     opt("--n", int, default=1000, help="sample count")
     opt("--dim", int, default=32, help="feature dimension")
@@ -124,17 +128,19 @@ def _build_parser():
     opt("--separation", float, default=6.0, help="prototype norm")
     opt("--multilabel-p", float, default=0.0, help="second-label probability")
     opt("--query-frac", float, default=0.1, help="query split fraction")
-    opt("--seed", int, default=0)
+    opt("--seed", _parse_seed, default=0)
 
-    _, opt = command("gen-centers", "generate initial hash centers")
+    opt = command(
+        "gen-centers", "generate initial hash centers", _cmd_gen_centers
+    )
     opt("--bits", int, required_flag=True)
     opt("--classes", int, required_flag=True)
-    opt("--seed", int, default=0)
+    opt("--seed", _parse_seed, default=0)
     opt("--trials", int, default=BERNOULLI_TRIALS,
         help="Bernoulli candidate sets")
     opt("--out", str, required_flag=True, help="center file path")
 
-    _, opt = command("train", "train a model on a dataset")
+    opt = command("train", "train a model on a dataset", _cmd_train)
     opt("--features", str, required_flag=True)
     opt("--labels", str, required_flag=True)
     opt("--splits", str, required_flag=True)
@@ -152,14 +158,14 @@ def _build_parser():
     opt("--reg", float, default=TrainConfig.reg)
     opt("--clamp", float, default=TrainConfig.clamp)
     opt("--momentum", float, default=TrainConfig.momentum)
-    opt("--seed", int, default=TrainConfig.seed)
+    opt("--seed", _parse_seed, default=TrainConfig.seed)
     opt("--hidden", _parse_hidden, default=DEFAULT_HIDDEN,
         help="extractor widths, comma separated")
     opt("--d-int", int, help="intermediate width, default max(4C, 128)")
     opt("--trials", int, default=BERNOULLI_TRIALS,
         help="Bernoulli trials when generating")
 
-    _, opt = command("encode", "binarize a split to code files")
+    opt = command("encode", "binarize a split to code files", _cmd_encode)
     opt("--model", str, required_flag=True)
     opt("--features", str, required_flag=True)
     opt("--splits", str, required_flag=True)
@@ -167,7 +173,7 @@ def _build_parser():
         help="train, gallery, query, or all")
     opt("--out", str, required_flag=True, help="output directory")
 
-    _, opt = command("eval-map", "mean average precision at k")
+    opt = command("eval-map", "mean average precision at k", _cmd_eval_map)
     opt("--gallery-codes", str, required_flag=True, help="text code file")
     opt("--query-codes", str, required_flag=True, help="text code file")
     opt("--labels", str, required_flag=True)
@@ -176,20 +182,24 @@ def _build_parser():
         help="same-class or share-any-label")
     opt("--out", str, required_flag=True, help="output directory")
 
-    _, opt = command("eval-pr", "precision-recall over Hamming thresholds")
+    opt = command(
+        "eval-pr", "precision-recall over Hamming thresholds", _cmd_eval_pr
+    )
     opt("--gallery-codes", str, required_flag=True)
     opt("--query-codes", str, required_flag=True)
     opt("--labels", str, required_flag=True)
     opt("--rule", str, default=SAME_CLASS)
     opt("--out", str, required_flag=True)
 
-    _, opt = command("query", "rank a gallery against one code")
+    opt = command("query", "rank a gallery against one code", _cmd_query)
     opt("--gallery-codes", str, required_flag=True)
     opt("--code", str, required_flag=True, help="query bitstring")
     opt("--topk", int, default=10)
 
-    _, opt = command("check-grad", "finite-difference gradient suite")
-    opt("--seed", int, default=1)
+    opt = command(
+        "check-grad", "finite-difference gradient suite", _cmd_check_grad
+    )
+    opt("--seed", _parse_seed, default=1)
 
     return top, tables
 
@@ -379,18 +389,6 @@ def _cmd_check_grad(args):
     return 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "gen-centers": _cmd_gen_centers,
-    "train": _cmd_train,
-    "encode": _cmd_encode,
-    "eval-map": _cmd_eval_map,
-    "eval-pr": _cmd_eval_pr,
-    "query": _cmd_query,
-    "check-grad": _cmd_check_grad,
-}
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -398,7 +396,7 @@ def main(argv=None):
     try:
         top, tables = _build_parser()
         args = top.parse_args(argv)
-        parser, required = tables[args.command]
+        parser, required, handler = tables[args.command]
         if args.config is not None:
             _apply_config(parser, args)
             args = top.parse_args(argv)
@@ -410,24 +408,19 @@ def main(argv=None):
             raise ConfigurationError(
                 f"missing required arguments: {', '.join(sorted(missing))}"
             )
-        return _HANDLERS[args.command](args)
+        return handler(args)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, DimensionError, LabelError, CoverageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except DcshError as exc:
+        kind = "numeric abort" if exc.exit_code == 3 else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, StaleCacheError) as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -186,6 +186,10 @@ def gen_synthetic(N, D, C, B_separation=6.0, multilabel_p=0.0, seed=0,
         )
     if N < C:
         raise ConfigurationError(f"need N >= C for class coverage, got N={N}")
+    if not np.isfinite(B_separation):
+        raise ConfigurationError(
+            f"B_separation must be finite, got {B_separation}"
+        )
     rng = np.random.default_rng(seed)
     protos = rng.standard_normal((C, D))
     protos *= B_separation / np.linalg.norm(protos, axis=1, keepdims=True)

@@ -1,17 +1,21 @@
 """Exception hierarchy shared by all dcsh modules.
 
-The CLI maps these onto exit codes: configuration problems are usage
-errors (1), data and shape problems are validation errors (2), and
-NumericError and StaleCacheError abort a run (3).
+Each type carries the exit code the CLI returns for it: configuration
+problems are usage errors (1), data and shape problems are validation
+errors (2), and NumericError and StaleCacheError abort a run (3).
 """
 
 
 class DcshError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class ConfigurationError(DcshError):
     """A parameter combination the algorithms cannot work with."""
+
+    exit_code = 1
 
 
 class DimensionError(DcshError):
@@ -29,9 +33,13 @@ class CoverageError(DcshError):
 class NumericError(DcshError):
     """A non-finite value appeared where finite numbers are required."""
 
+    exit_code = 3
+
 
 class StaleCacheError(DcshError):
     """A forward cache is used after the model's parameters changed."""
+
+    exit_code = 3
 
 
 class ParseError(DcshError):

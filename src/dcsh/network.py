@@ -270,6 +270,10 @@ class TrainConfig:
             raise ConfigurationError(f"reg must be >= 0, got {self.reg}")
         if self.clamp <= 0:
             raise ConfigurationError(f"clamp must be > 0, got {self.clamp}")
+        for name in ("lr", "reg", "clamp", "alpha_override"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def train(model, config, dataset, centers0):

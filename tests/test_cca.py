@@ -173,6 +173,14 @@ class TestCcaLossChecks:
         with pytest.raises(NumericError):
             dcsh_loss(X, X, X, X, 1.0, reg=-1e-4)
 
+    def test_nan_reg_rejected(self):
+        # nan fails every comparison, so `reg > 0` alone would skip the ridge
+        X = np.random.default_rng(11).standard_normal((12, 3))
+        with pytest.raises(NumericError):
+            cca_loss(X, X, 2, reg=np.nan)
+        with pytest.raises(NumericError):
+            dcsh_loss(X, X, X, X, 1.0, reg=np.nan)
+
     def test_non_positive_clamp_rejected(self):
         X = np.random.default_rng(12).standard_normal((12, 3))
         with pytest.raises(NumericError):

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -456,6 +458,70 @@ class TestExitCodes:
             pipeline, tmp_path / "out", flags, 1, capsys
         )
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--reg", "nan"), ("--reg", "inf"),
+        ("--clamp", "nan"), ("--alpha-override", "nan"),
+        ("--alpha-override", "inf"),
+    ])
+    def test_non_finite_train_option_is_a_usage_error(
+            self, pipeline, tmp_path, capsys, flag, value):
+        data = pipeline / "data"
+        out = tmp_path / "out"
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"),
+            "--out", str(out), "--bits", "8", "--batch", "44",
+            "--epochs", "1", "--hidden", "16", "--d-int", "20", flag, value,
+        ]) == 1
+        field = flag.lstrip("-").replace("-", "_")
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_separation_is_a_usage_error(self, tmp_path, capsys,
+                                                    value):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--n", "40", "--dim", "8",
+                     "--classes", "4", "--separation", value]) == 1
+        assert "error: B_separation must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("command", [
+        "synth", "gen-centers", "train", "check-grad",
+    ])
+    def test_negative_seed_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                            command, via_config):
+        data = pipeline / "data"
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--out", str(out)],
+            # 24 bits is no power of two, so the seed drives a Bernoulli draw
+            "gen-centers": ["gen-centers", "--bits", "24", "--classes", "10",
+                            "--out", str(out / "c.txt")],
+            "train": ["train", "--features", str(data / "features.bin"),
+                      "--labels", str(data / "labels.txt"),
+                      "--splits", str(data / "splits.txt"),
+                      "--out", str(out), "--bits", "8", "--batch", "44",
+                      "--epochs", "1"],
+            "check-grad": ["check-grad"],
+        }[command]
+        if via_config:
+            cfg = tmp_path / "seed.txt"
+            cfg.write_text("seed=-1\n")
+            argv = [*argv, "--config", str(cfg)]
+        else:
+            argv = [*argv, "--seed", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: argument --seed: seed must be >= 0, got -1\n"
+        )
+        assert not out.exists()
+
     def test_center_shape_mismatch_leaves_no_run_directory(
             self, pipeline, tmp_path, capsys):
         five = tmp_path / "five.txt"
@@ -572,3 +638,15 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
+
+    def test_console_script_entry_point_resolves(self, capsys):
+        # what an installed `dcsh` would run, checked without installing
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        text = (root / "pyproject.toml").read_text(encoding="utf-8")
+        project = tomllib.loads(text)["project"]
+        module_name, _, attr = project["scripts"]["dcsh"].partition(":")
+        entry = getattr(importlib.import_module(module_name), attr)
+        assert entry(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == __version__
+        assert project["version"] == __version__

@@ -190,6 +190,11 @@ class TestGenSynthetic:
         accuracy = (pred == y[query_idx]).mean()
         assert accuracy >= 0.99
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            gen_synthetic(N=40, D=8, C=4, B_separation=value)
+
     def test_prototype_scale_controls_separation(self):
         close = gen_synthetic(N=400, D=8, C=4, B_separation=0.5, seed=4)
         far = gen_synthetic(N=400, D=8, C=4, B_separation=12.0, seed=4)

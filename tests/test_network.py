@@ -397,6 +397,9 @@ class TestTrainConfig:
         {"epochs": 5, "reg": -1.0},
         {"epochs": 5, "clamp": 0.0},
         {"epochs": 5, "clamp": -1e-8},
+        *({"epochs": 5, field: value}
+          for field in ("lr", "reg", "clamp", "alpha_override")
+          for value in (float("nan"), float("inf"))),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
