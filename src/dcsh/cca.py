@@ -17,13 +17,10 @@ target view is constant within a batch.
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError
-from .numerics import (
-    DEFAULT_CLAMP,
-    DEFAULT_REG,
-    as_matrix,
-    inv_sqrt_sym,
-    thin_svd,
-)
+from .numerics import DEFAULT_REG, as_matrix, inv_sqrt_sym, thin_svd
+
+# The two formulas for the balance factor; `alpha` resolves either.
+ALPHA_MODES = ("equalized", "emphasized")
 
 
 def k_max(d_x, d_y, M):
@@ -41,7 +38,7 @@ def k_max(d_x, d_y, M):
     return k
 
 
-def cca_loss(X, Y, k, reg=DEFAULT_REG, clamp=DEFAULT_CLAMP):
+def cca_loss(X, Y, k, reg=DEFAULT_REG):
     """One correlation term: (loss, top-k correlations, d(loss)/dX).
 
     X (M x d_x) is the trainable view and Y (M x d_y) the target; the
@@ -62,10 +59,10 @@ def cca_loss(X, Y, k, reg=DEFAULT_REG, clamp=DEFAULT_CLAMP):
     limit = k_max(X.shape[1], Y.shape[1], M)
     if not 1 <= k <= limit:
         raise ConfigurationError(f"k={k} outside valid range [1, {limit}]")
-    return _cca(X, Y, k, reg, clamp)
+    return _cca(X, Y, k, reg)
 
 
-def _cca(X, Y, k, reg, clamp):
+def _cca(X, Y, k, reg):
     """cca_loss on views its caller has validated.
 
     The gradient takes the chain rule through K's SVD; directions
@@ -83,8 +80,8 @@ def _cca(X, Y, k, reg, clamp):
     if reg > 0:
         Sxx = Sxx + reg * np.eye(X.shape[1])
         Syy = Syy + reg * np.eye(Y.shape[1])
-    Sxx_isqrt = inv_sqrt_sym(Sxx, clamp)
-    Syy_isqrt = inv_sqrt_sym(Syy, clamp)
+    Sxx_isqrt = inv_sqrt_sym(Sxx)
+    Syy_isqrt = inv_sqrt_sym(Syy)
     K = Sxx_isqrt @ (Xc.T @ Yc / (M - 1)) @ Syy_isqrt
     U, sigma, V = thin_svd(K)
     Uk = U[:, :k]
@@ -97,19 +94,22 @@ def _cca(X, Y, k, reg, clamp):
     return -float(top.sum()), top, -corr_grad
 
 
-def alpha(B, C, mode):
+def alpha(B, C, setting):
     """Balance factor for the classification term.
 
-    equalized matches the two terms' bounds; emphasized scales the
-    classification bound up to the code length's -(B-1).
+    `setting` is a mode or the factor itself. equalized matches the two
+    terms' bounds; emphasized scales the classification bound up to the
+    code length's -(B-1); a number is returned unchanged.
     """
     if B < 2 or C < 2:
         raise ConfigurationError(f"need B >= 2 and C >= 2, got B={B}, C={C}")
-    if mode == "equalized":
+    if setting == "equalized":
         return (min(B, C) - 1) / (C - 1)
-    if mode == "emphasized":
+    if setting == "emphasized":
         return (B - 1) / (C - 1)
-    raise ConfigurationError(f"unknown alpha mode: {mode!r}")
+    if isinstance(setting, str):
+        raise ConfigurationError(f"unknown alpha mode: {setting!r}")
+    return setting
 
 
 def dcsh_lower_bound(B, C):
@@ -119,8 +119,7 @@ def dcsh_lower_bound(B, C):
     return -(min(B, C) - 1) - (B - 1)
 
 
-def dcsh_loss(X_h, Y_h, X_c, Y_c, alpha_value, reg=DEFAULT_REG,
-              clamp=DEFAULT_CLAMP):
+def dcsh_loss(X_h, Y_h, X_c, Y_c, alpha_value, reg=DEFAULT_REG):
     """Combined loss: hashing correlation plus alpha times the
     classification correlation.
 
@@ -151,7 +150,7 @@ def dcsh_loss(X_h, Y_h, X_c, Y_c, alpha_value, reg=DEFAULT_REG,
         raise ConfigurationError(f"batch too small: M={M} must exceed B={B}")
     if M <= C:
         raise ConfigurationError(f"batch too small: M={M} must exceed C={C}")
-    hash_loss, _, grad_Xh = _cca(X_h, Y_h, k_max(B, C, M), reg, clamp)
-    class_loss, _, grad_Xc = _cca(X_c, Y_c, k_max(C, C, M), reg, clamp)
+    hash_loss, _, grad_Xh = _cca(X_h, Y_h, k_max(B, C, M), reg)
+    class_loss, _, grad_Xc = _cca(X_c, Y_c, k_max(C, C, M), reg)
     loss = hash_loss + alpha_value * class_loss
     return loss, grad_Xh, alpha_value * grad_Xc

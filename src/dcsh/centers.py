@@ -19,6 +19,7 @@ from .errors import (
     DimensionError,
     LabelError,
 )
+from .numerics import check_seed
 
 # Candidate sets drawn by `gen_bernoulli_centers` unless told otherwise.
 BERNOULLI_TRIALS = 100
@@ -83,7 +84,7 @@ def gen_bernoulli_centers(B, C, seed, trials=BERNOULLI_TRIALS):
         raise ConfigurationError(
             f"need B >= 1, C >= 1, trials >= 1, got B={B}, C={C}, trials={trials}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     best = None
     best_dist = -1
     for _ in range(trials):

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import __version__, formats
+from .cca import ALPHA_MODES
 from .centers import (
     BERNOULLI_TRIALS,
     gen_bernoulli_centers,
@@ -31,6 +32,7 @@ from .network import (
     predict,
     train,
 )
+from .numerics import check_seed
 from .retrieval import (
     SAME_CLASS,
     PackedCodeIndex,
@@ -62,14 +64,25 @@ def _parse_hidden(text):
 
 def _parse_seed(text):
     try:
-        seed = int(text)
+        return check_seed(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_alpha(text):
+    """A mode name as itself, anything else as the factor itself."""
+    if text in ALPHA_MODES:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected {', '.join(ALPHA_MODES)} or a number, got {text!r}"
+        ) from None
 
 
 def _format_value(value):
@@ -152,12 +165,9 @@ def _build_parser():
     opt("--lr-decay", float, default=TrainConfig.lr_decay)
     opt("--decay-every", int, default=TrainConfig.decay_every)
     opt("--epochs", int, default=50)
-    opt("--alpha-mode", str, default=TrainConfig.alpha_mode)
-    opt("--alpha-override", float,
-        help="fixed alpha value, bypassing the mode formula")
+    opt("--alpha", _parse_alpha, default=TrainConfig.alpha,
+        help="equalized, emphasized, or a fixed value >= 0")
     opt("--reg", float, default=TrainConfig.reg)
-    opt("--clamp", float, default=TrainConfig.clamp)
-    opt("--momentum", float, default=TrainConfig.momentum)
     opt("--seed", _parse_seed, default=TrainConfig.seed)
     opt("--hidden", _parse_hidden, default=DEFAULT_HIDDEN,
         help="extractor widths, comma separated")
@@ -264,9 +274,7 @@ def _cmd_train(args):
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch,
         lr=args.lr, lr_decay=args.lr_decay, decay_every=args.decay_every,
-        alpha_mode=args.alpha_mode, alpha_override=args.alpha_override,
-        reg=args.reg, clamp=args.clamp, momentum=args.momentum,
-        seed=args.seed,
+        alpha=args.alpha, reg=args.reg, seed=args.seed,
     )
     if args.centers is not None:
         centers0 = formats.read_centers(args.centers)
@@ -420,6 +428,9 @@ def main(argv=None):
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory", *exc.args, sep=": ", file=sys.stderr)
         return 2
 
 

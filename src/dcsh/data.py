@@ -13,6 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, LabelError
+from .numerics import check_seed
 
 TAG_TRAIN = "train"
 TAG_GALLERY = "gallery"
@@ -190,7 +191,7 @@ def gen_synthetic(N, D, C, B_separation=6.0, multilabel_p=0.0, seed=0,
         raise ConfigurationError(
             f"B_separation must be finite, got {B_separation}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     protos = rng.standard_normal((C, D))
     protos *= B_separation / np.linalg.norm(protos, axis=1, keepdims=True)
     base = np.arange(N, dtype=np.int64) % C

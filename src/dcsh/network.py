@@ -1,18 +1,18 @@
 """The trainable model and its loop: a feed-forward extractor, a
 sigmoid hashing layer, a ReLU intermediate layer, and a sigmoid
-classification layer, trained with SGD (optional heavy-ball momentum,
-`--momentum`, 0 by default) on the combined correlation loss while the
-hash centers are re-estimated every epoch.
+classification layer, trained with plain SGD on the combined
+correlation loss while the hash centers are re-estimated every epoch.
 
 Everything is float64 and seeded; two runs from the same configuration
 produce byte-identical artifacts.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import alpha, cca_loss, dcsh_loss, k_max
+from .cca import ALPHA_MODES, alpha, cca_loss, dcsh_loss, k_max
 from .centers import assign_target, update_centers
 from .errors import (
     ConfigurationError,
@@ -21,7 +21,7 @@ from .errors import (
     NumericError,
     StaleCacheError,
 )
-from .numerics import DEFAULT_CLAMP, DEFAULT_REG, as_matrix, fd_gradient
+from .numerics import DEFAULT_REG, as_matrix, check_seed, fd_gradient
 
 DEFAULT_HIDDEN = (256, 256)
 # Largest row block `predict` sends through `forward` at once.
@@ -96,7 +96,7 @@ def build_model(D, C, bits, hidden=DEFAULT_HIDDEN, d_int=None, seed=0):
     dims = [D, *hidden, bits, d_int, C]
     if min(dims) < 1:
         raise ConfigurationError(f"layer widths must be >= 1, got {dims}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed), 0]))
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -183,11 +183,8 @@ def backward(model, cache, grad_xh, grad_xc):
     return grads
 
 
-def sgd_step(model, grads, lr, momentum=0.0, velocity=None):
-    """In-place p <- p - lr * g, with optional heavy-ball momentum.
-
-    Returns the updated velocity state (None while momentum is 0).
-    """
+def sgd_step(model, grads, lr):
+    """In-place plain SGD: p <- p - lr * g for every weight and bias."""
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if len(grads) != len(model.layers):
@@ -195,24 +192,10 @@ def sgd_step(model, grads, lr, momentum=0.0, velocity=None):
     for idx, (dW, db) in enumerate(grads):
         if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
             raise NumericError(f"non-finite gradient in layer {idx}")
-    if not momentum > 0.0:
-        velocity = None
-    elif velocity is None:
-        velocity = [
-            (np.zeros_like(W), np.zeros_like(b)) for W, b in model.layers
-        ]
-    for idx, ((W, b), (dW, db)) in enumerate(zip(model.layers, grads)):
-        if velocity is not None:
-            vW, vb = velocity[idx]
-            vW *= momentum
-            vW += dW
-            vb *= momentum
-            vb += db
-            dW, db = vW, vb
+    for (W, b), (dW, db) in zip(model.layers, grads):
         W -= lr * dW
         b -= lr * db
     model.version += 1
-    return velocity
 
 
 def binarize(x_h):
@@ -234,11 +217,9 @@ class TrainConfig:
     lr: float = 3e-4
     lr_decay: float = 0.7
     decay_every: int = 10
-    alpha_mode: str = "emphasized"
-    alpha_override: float = None
+    # A mode of ALPHA_MODES or the balance factor itself.
+    alpha: str | float = "emphasized"
     reg: float = DEFAULT_REG
-    clamp: float = DEFAULT_CLAMP
-    momentum: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -254,25 +235,19 @@ class TrainConfig:
             raise ConfigurationError(
                 f"decay interval must be >= 1, got {self.decay_every}"
             )
-        if not 0.0 <= self.momentum < 1.0:
+        if isinstance(self.alpha, str):
+            if self.alpha not in ALPHA_MODES:
+                raise ConfigurationError(f"unknown alpha mode {self.alpha!r}")
+        elif not isinstance(self.alpha, numbers.Real) or self.alpha < 0:
             raise ConfigurationError(
-                f"momentum must lie in [0, 1), got {self.momentum}"
-            )
-        if self.alpha_mode not in ("equalized", "emphasized"):
-            raise ConfigurationError(
-                f"unknown alpha mode {self.alpha_mode!r}"
-            )
-        if self.alpha_override is not None and self.alpha_override < 0:
-            raise ConfigurationError(
-                f"alpha override must be >= 0, got {self.alpha_override}"
+                f"alpha must be a mode or a number >= 0, got {self.alpha!r}"
             )
         if self.reg < 0:
             raise ConfigurationError(f"reg must be >= 0, got {self.reg}")
-        if self.clamp <= 0:
-            raise ConfigurationError(f"clamp must be > 0, got {self.clamp}")
-        for name in ("lr", "reg", "clamp", "alpha_override"):
+        check_seed(self.seed)
+        for name in ("lr", "reg", "alpha"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if not isinstance(value, str) and not np.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
@@ -324,10 +299,7 @@ def train(model, config, dataset, centers0):
     X_train = dataset.features[train_idx]
     if has_test:
         X_test = dataset.features[query_idx]
-    if config.alpha_override is not None:
-        alpha_value = config.alpha_override
-    else:
-        alpha_value = alpha(B, C, config.alpha_mode)
+    alpha_value = alpha(B, C, config.alpha)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence([int(config.seed), 1])
     )
@@ -335,7 +307,6 @@ def train(model, config, dataset, centers0):
     centers = centers0
     history = [centers0]
     curves = []
-    velocity = None
     for epoch in range(config.epochs):
         lr = learning_rate(config.lr, config.lr_decay, config.decay_every, epoch)
         targets = np.array(
@@ -349,7 +320,7 @@ def train(model, config, dataset, centers0):
             x_h, x_c, cache = forward(model, X_train[sel])
             loss, g_xh, g_xc = dcsh_loss(
                 x_h, targets[row_set[sel]], x_c, Y_c_all[sel], alpha_value,
-                config.reg, config.clamp,
+                config.reg,
             )
             if not np.isfinite(loss):
                 raise NumericError(
@@ -357,7 +328,7 @@ def train(model, config, dataset, centers0):
                 )
             grads = backward(model, cache, g_xh, g_xc)
             try:
-                velocity = sgd_step(model, grads, lr, config.momentum, velocity)
+                sgd_step(model, grads, lr)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {bi}: {exc}") from None
             batch_losses.append(loss)
@@ -367,7 +338,7 @@ def train(model, config, dataset, centers0):
             x_h_t, x_c_t = predict(model, X_test)
             test_loss, _, _ = dcsh_loss(
                 x_h_t, targets[row_set[n_train:]], x_c_t, Y_c_all[n_train:],
-                alpha_value, config.reg, config.clamp,
+                alpha_value, config.reg,
             )
         x_h_full, _ = predict(model, X_train)
         centers = update_centers(x_h_full, Y_c_all[:n_train], epoch=epoch + 1)

@@ -1,6 +1,7 @@
 """Dense float64 helpers for the loss and network modules: input
-validation, the symmetric inverse square root, the thin SVD and the
-finite-difference oracle.
+validation (and the seed check of every seeded entry point), the
+symmetric inverse square root, the thin SVD and the finite-difference
+oracle.
 
 Everything here is a pure function of its inputs. Matrices are numpy
 arrays with rows as samples and columns as dimensions; every function
@@ -8,11 +9,14 @@ validates its input and returns finite float64 results. Centering and
 the covariances live inside `cca`, on views validated once there.
 """
 
+import numbers
+
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError
 
-# Stabilizer defaults; both are exposed through every caller's signature.
+# Stabilizers: the ridge is every loss caller's `reg`; the eigenvalue
+# floor is fixed, and cannot bind while reg >= DEFAULT_CLAMP.
 DEFAULT_REG = 1e-4
 DEFAULT_CLAMP = 1e-8
 
@@ -29,23 +33,31 @@ def as_matrix(X, name="matrix"):
     return A
 
 
-def inv_sqrt_sym(S, clamp=DEFAULT_CLAMP):
+def check_seed(seed):
+    """The seed as an int; anything but an integer >= 0 is a
+    ConfigurationError rather than numpy's ValueError or TypeError."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
+def inv_sqrt_sym(S):
     """Inverse matrix square root of a symmetric matrix.
 
-    Eigenvalues are floored at `clamp` before inversion, so
+    Eigenvalues are floored at DEFAULT_CLAMP before inversion, so
     rank-deficient inputs are handled without error. The result is
     exactly symmetric.
     """
     A = as_matrix(S, "S")
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected square matrix, got {A.shape}")
-    if clamp <= 0:
-        raise NumericError(f"clamp must be positive, got {clamp}")
     scale = max(np.abs(A).max(), 1.0)
     if np.abs(A - A.T).max() > SYMMETRY_TOL * scale:
         raise DimensionError("matrix is not symmetric within tolerance")
     lam, Q = np.linalg.eigh(A)
-    lam = np.maximum(lam, clamp)
+    lam = np.maximum(lam, DEFAULT_CLAMP)
     R = (Q / np.sqrt(lam)) @ Q.T
     return (R + R.T) / 2.0
 

@@ -50,7 +50,7 @@ def separable_run(tmp_path_factory):
         "--centers", str(root / "centers.txt"),
         "--out", str(run), "--bits", "32", "--batch", "200",
         "--lr", "0.0003", "--lr-decay", "0.7", "--decay-every", "10",
-        "--epochs", "50", "--alpha-mode", "emphasized", "--seed", "0",
+        "--epochs", "50", "--alpha", "emphasized", "--seed", "0",
     ]) == 0
     elapsed = time.perf_counter() - start
     rows = formats.read_loss_csv(run / "loss.csv")

@@ -181,11 +181,6 @@ class TestCcaLossChecks:
         with pytest.raises(NumericError):
             dcsh_loss(X, X, X, X, 1.0, reg=np.nan)
 
-    def test_non_positive_clamp_rejected(self):
-        X = np.random.default_rng(12).standard_normal((12, 3))
-        with pytest.raises(NumericError):
-            cca_loss(X, X, 2, clamp=0.0)
-
     def test_copy_gets_the_same_ridge(self):
         # With Y = X each correlation is lam / (lam + reg) over the
         # eigenvalues lam of X's covariance, so the ridge must reach both
@@ -261,6 +256,10 @@ class TestAlpha:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             alpha(32, 10, "balanced")
+
+    @pytest.mark.parametrize("value", [0.0, 2.5, 3])
+    def test_number_returned_unchanged(self, value):
+        assert alpha(32, 10, value) is value
 
 
 class TestLowerBound:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcsh import __version__, formats
+from dcsh import __version__, cli, formats
 from dcsh.centers import BERNOULLI_TRIALS
 from dcsh.cli import _build_parser, main
 from dcsh.network import DEFAULT_HIDDEN, TrainConfig
@@ -92,7 +92,7 @@ class TestPipelineArtifacts:
         assert manifest["bits"] == "8"
         assert manifest["hidden"] == "16"
         assert manifest["lr"] == "0.001"
-        assert "alpha_override" not in manifest
+        assert manifest["alpha"] == "emphasized"
 
     def test_encode_outputs(self, pipeline):
         enc = pipeline / "enc"
@@ -125,12 +125,10 @@ class TestPipelineArtifacts:
     def test_manifest_keys_are_the_options(self, pipeline, command, where):
         top, _ = _build_parser()
         options = set(vars(top.parse_args([command]))) - {"command", "config"}
-        # the fixture leaves only train's --alpha-override at None
-        left_none = {"alpha_override"} if command == "train" else set()
         manifest = formats.read_config(
             pipeline / where / f"manifest-{command}.txt"
         )
-        assert set(manifest) == (options - left_none) | {"command", "version"}
+        assert set(manifest) == options | {"command", "version"}
 
     def test_query_ranking(self, pipeline, capsys):
         enc = pipeline / "enc"
@@ -217,15 +215,22 @@ class TestConfigMerge:
         # an explicit flag replaces the bad value before it is converted
         assert main([*argv, "--seed", "3"]) == 0
 
-    def test_retired_normalized_update_key(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
+        "normalized_update=false", "alpha_mode=emphasized",
+        "alpha_override=0.5", "clamp=1e-08", "momentum=0.0",
+    ])
+    def test_retired_key(self, pipeline, tmp_path, capsys, line):
         # Train manifests written before the key was removed carry it.
+        key = line.split("=")[0]
         manifest = (pipeline / "run" / "manifest-train.txt").read_text()
-        assert "normalized_update" not in manifest
+        assert f"{key}=" not in manifest
         cfg = tmp_path / "old-manifest.txt"
-        cfg.write_text(manifest + "normalized_update=false\n")
+        cfg.write_text(f"{manifest}{line}\n")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "'normalized_update'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: unknown config key {key!r} for command 'train'\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval-map", "eval-pr"])
@@ -269,6 +274,14 @@ class TestTrainDefaults:
             dest = "batch" if field.name == "batch_size" else field.name
             assert args[dest] == getattr(config, field.name), field.name
         assert args["hidden"] == DEFAULT_HIDDEN
+
+    @pytest.mark.parametrize("text, want", [
+        ("emphasized", "emphasized"), ("equalized", "equalized"),
+        ("0", 0.0), ("2.5", 2.5),
+    ])
+    def test_alpha_flag_takes_a_mode_or_a_number(self, text, want):
+        top, _ = _build_parser()
+        assert top.parse_args(["train", "--alpha", text]).alpha == want
 
     @pytest.mark.parametrize("command, dest, want", [
         ("gen-centers", "trials", BERNOULLI_TRIALS),
@@ -380,7 +393,11 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric abort" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--reg", "-1"), ("--clamp", "0")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--reg", "-1"), ("--alpha", "-1"), ("--alpha", "balanced"),
+        # no longer options of train
+        ("--clamp", "0"), ("--clamp", "1e-8"), ("--momentum", "0.9"),
+    ])
     def test_bad_stabilizer_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                              flag, value):
         data = pipeline / "data"
@@ -460,8 +477,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--reg", "nan"), ("--reg", "inf"),
-        ("--clamp", "nan"), ("--alpha-override", "nan"),
-        ("--alpha-override", "inf"),
+        ("--alpha", "nan"), ("--alpha", "inf"),
     ])
     def test_non_finite_train_option_is_a_usage_error(
             self, pipeline, tmp_path, capsys, flag, value):
@@ -477,6 +493,20 @@ class TestExitCodes:
         field = flag.lstrip("-").replace("-", "_")
         assert f"error: {field} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 36.4 TiB"),
+         "error: out of memory: Unable to allocate 36.4 TiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch,
+                                           capsys, exc, message):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_synth", exhausted)
+        assert main(["synth", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_separation_is_a_usage_error(self, tmp_path, capsys,

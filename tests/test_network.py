@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dcsh import formats, network
-from dcsh.cca import cca_loss, dcsh_loss, dcsh_lower_bound, k_max
+from dcsh.cca import alpha, cca_loss, dcsh_loss, dcsh_lower_bound, k_max
 from dcsh.centers import (
     HashCenterSet,
     assign_target,
+    gen_bernoulli_centers,
     gen_hadamard_centers,
     update_centers,
 )
@@ -291,47 +292,6 @@ class TestSgdStep:
             np.testing.assert_array_equal(b, b0)
         assert m.version == 1
 
-    def test_heavy_ball_accumulates(self):
-        m = self.one_param_model(1.0)
-        grads = self.zero_grads(m)
-        grads[0] = (np.array([[2.0]]), np.zeros(1))
-        v = sgd_step(m, grads, lr=0.1, momentum=0.5)
-        assert abs(m.layers[0][0][0, 0] - 0.8) < 1e-15
-        v = sgd_step(m, grads, lr=0.1, momentum=0.5, velocity=v)
-        # velocity 0.5 * 2 + 2 = 3, parameter 0.8 - 0.3 = 0.5
-        assert abs(m.layers[0][0][0, 0] - 0.5) < 1e-15
-
-    def test_heavy_ball_matches_hand_loop(self):
-        m, ref = tiny_model(seed=11), tiny_model(seed=11)
-        rng = np.random.default_rng(11)
-        velocity = None
-        ref_v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in ref.layers]
-        for _ in range(3):
-            grads = [(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
-                     for W, b in m.layers]
-            velocity = sgd_step(m, grads, 0.05, 0.9, velocity)
-            for (W, b), (vW, vb), (dW, db) in zip(ref.layers, ref_v, grads):
-                vW[...] = 0.9 * vW + dW
-                vb[...] = 0.9 * vb + db
-                W[...] = W - 0.05 * vW
-                b[...] = b - 0.05 * vb
-        for (W, b), (W0, b0) in zip(m.layers, ref.layers):
-            assert W.tobytes() == W0.tobytes() and b.tobytes() == b0.tobytes()
-        for (vW, vb), (vW0, vb0) in zip(velocity, ref_v):
-            assert vW.tobytes() == vW0.tobytes()
-            assert vb.tobytes() == vb0.tobytes()
-
-    def test_zero_momentum_ignores_velocity(self):
-        m = self.one_param_model(1.0)
-        grads = self.zero_grads(m)
-        grads[0] = (np.array([[2.0]]), np.zeros(1))
-        velocity = [(np.full_like(W, 3.0), np.full_like(b, 3.0))
-                    for W, b in m.layers]
-        assert sgd_step(m, grads, lr=0.1, velocity=velocity) is None
-        assert abs(m.layers[0][0][0, 0] - 0.8) < 1e-15
-        for vW, vb in velocity:
-            assert (vW == 3.0).all() and (vb == 3.0).all()
-
     def test_version_counts_updates(self):
         m = self.one_param_model(1.0)
         for expect in (1, 2, 3):
@@ -381,24 +341,29 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig(epochs=5)
         assert cfg.batch_size == 200 and cfg.lr == 3e-4
-        assert cfg.alpha_mode == "emphasized" and cfg.alpha_override is None
+        assert cfg.alpha == "emphasized" and cfg.seed == 0
 
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 5, "lr": -1e-3},
         {"epochs": 0},
-        {"epochs": 5, "momentum": -0.1},
         {"epochs": 5, "lr": 0.0},
         {"epochs": 5, "lr_decay": 0.0},
         {"epochs": 5, "lr_decay": 1.5},
         {"epochs": 5, "decay_every": 0},
-        {"epochs": 5, "momentum": 1.0},
-        {"epochs": 5, "alpha_mode": "balanced"},
-        {"epochs": 5, "alpha_override": -1.0},
+        {"epochs": 5, "alpha": "balanced"},
+        {"epochs": 5, "alpha": "Emphasized"},
+        # only the CLI reads a number from text
+        {"epochs": 5, "alpha": "2.5"},
+        {"epochs": 5, "alpha": -1.0},
+        {"epochs": 5, "alpha": float("-inf")},
+        # neither a mode nor a number
+        {"epochs": 5, "alpha": None},
         {"epochs": 5, "reg": -1.0},
-        {"epochs": 5, "clamp": 0.0},
-        {"epochs": 5, "clamp": -1e-8},
+        # -1 and 1.5 are in TestSeedCheck
+        {"epochs": 5, "seed": 2.0},
+        {"epochs": 5, "seed": "3"},
         *({"epochs": 5, field: value}
-          for field in ("lr", "reg", "clamp", "alpha_override")
+          for field in ("lr", "reg", "alpha")
           for value in (float("nan"), float("inf"))),
     ])
     def test_invalid_rejected(self, kwargs):
@@ -463,9 +428,16 @@ class TestTrain:
         _, _, curves = train(model, config, dataset, gen_hadamard_centers(8, 4))
         assert all(row[2] is None for row in curves)
 
+    def test_mode_trains_like_its_value(self):
+        (m1, _, c1), *_ = small_run(alpha="equalized")
+        (m2, _, c2), *_ = small_run(alpha=alpha(8, 4, "equalized"))
+        assert c1 == c2
+        for (W1, b1), (W2, b2) in zip(m1.layers, m2.layers):
+            assert W1.tobytes() == W2.tobytes() and b1.tobytes() == b2.tobytes()
+
     def test_alpha_zero_matches_hash_only_loop(self):
         (model, history, curves), dataset, config, centers0 = small_run(
-            seed=3, epochs=3, alpha_override=0.0
+            seed=3, epochs=3, alpha=0.0
         )
         # mirror loop: same seeding, hash correlation term only
         ref = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20, seed=3)
@@ -489,8 +461,7 @@ class TestTrain:
                     for i in sel
                 ], dtype=np.float64)
                 x_h, x_c, cache = forward(ref, X_train[sel])
-                _, _, g_xh = cca_loss(x_h, Y_h, k_hash, config.reg,
-                                      config.clamp)
+                _, _, g_xh = cca_loss(x_h, Y_h, k_hash, config.reg)
                 grads = backward(ref, cache, g_xh, np.zeros_like(x_c))
                 sgd_step(ref, grads, lr)
             x_h_full, _, _ = forward(ref, X_train)
@@ -582,3 +553,31 @@ class TestTrain:
         model = build_model(D=8, C=4, bits=8, hidden=(16,), d_int=20)
         with pytest.raises(ConfigurationError):
             train(model, config, dataset, gen_hadamard_centers(8, 4))
+
+
+class TestSeedCheck:
+    """Every seeded entry point rejects a seed that is not an integer
+    >= 0 with a ConfigurationError, where numpy would raise ValueError or
+    TypeError and `int()` would run 1.5 as 1."""
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "fractional"])
+    @pytest.mark.parametrize("entry", [
+        lambda seed: gen_synthetic(N=40, D=8, C=4, seed=seed),
+        lambda seed: tiny_model(seed=seed),
+        lambda seed: gen_bernoulli_centers(24, 8, seed),
+        lambda seed: TrainConfig(epochs=1, seed=seed),
+    ], ids=["gen_synthetic", "build_model", "gen_bernoulli_centers",
+            "train_config"])
+    def test_rejected(self, entry, seed, message):
+        with pytest.raises(ConfigurationError) as err:
+            entry(seed)
+        assert str(err.value) == message
+
+    def test_numpy_integer_seed_accepted(self):
+        a = tiny_model(seed=np.int64(4))
+        b = tiny_model(seed=4)
+        for (W1, _), (W2, _) in zip(a.layers, b.layers):
+            assert W1.tobytes() == W2.tobytes()

@@ -14,7 +14,7 @@ class TestInvSqrtSym:
         np.testing.assert_allclose(out, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_clamp_floors_tiny_eigenvalues(self):
-        out = inv_sqrt_sym(np.diag([4.0, 1e-12]), clamp=1e-8)
+        out = inv_sqrt_sym(np.diag([4.0, 1e-12]))
         np.testing.assert_allclose(out, np.diag([0.5, 1e4]), rtol=1e-10)
 
     def test_inverse_square_root_property(self):

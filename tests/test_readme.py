@@ -4,17 +4,62 @@ import pathlib
 import re
 
 import dcsh
+from dcsh.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def layout_section():
+def section(title):
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def flags_by_command():
+    """{subcommand: its flags}; each flag is its option's dest spelled
+    the way `cli` derives the dest from the flag."""
+    top, tables = _build_parser()
+    return {
+        command: {"--" + dest.replace("_", "-")
+                  for dest in vars(top.parse_args([command]))
+                  if dest != "command"}
+        for command in tables
+    }
+
+
+def shell_commands():
+    """(subcommand, flags) for every `dcsh <cmd>` line of the README's
+    sh blocks, with continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            match = re.match(r"\s*dcsh (\S+)(.*)", line)
+            if match:
+                yield match[1], re.findall(r"--[\w-]+", match[2])
+
+
+def test_shell_lines_use_their_commands_flags():
+    known = flags_by_command()
+    shown = set()
+    for command, flags in shell_commands():
+        assert command in known, f"dcsh {command}"
+        for flag in flags:
+            assert flag in known[command], f"dcsh {command} {flag}"
+        shown.add(command)
+    assert shown == set(known)
+
+
+def test_exit_code_table_flags_exist():
+    rows = [line for line in section("Exit codes").splitlines()
+            if line.startswith("|")]
+    flags = re.findall(r"`(--[\w-]+)", "\n".join(rows))
+    assert flags
+    every = set().union(*flags_by_command().values())
+    assert set(flags) <= every, sorted(set(flags) - every)
 
 
 def test_library_layout_names_every_module():
-    listed = re.findall(r"^\| `dcsh\.(\w+)` \|", layout_section(), flags=re.M)
+    listed = re.findall(r"^\| `dcsh\.(\w+)` \|", section("Library layout"),
+                        flags=re.M)
     package = pathlib.Path(dcsh.__file__).parent
     modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
     assert len(listed) == len(set(listed)), "a module is listed twice"
@@ -22,7 +67,7 @@ def test_library_layout_names_every_module():
 
 
 def test_library_layout_states_each_exit_code():
-    row = re.search(r"^\| `dcsh\.errors` \|(.*)\|$", layout_section(),
+    row = re.search(r"^\| `dcsh\.errors` \|(.*)\|$", section("Library layout"),
                     flags=re.M)
     # "`ConfigurationError` 1; `ParseError`, `DimensionError`, ... 2; ..."
     stated = {}
