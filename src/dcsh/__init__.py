@@ -49,7 +49,6 @@ from .retrieval import (
     PackedCodeIndex,
     QueryResult,
     average_precision,
-    hamming,
     map_at_k,
     pack_codes,
     pr_curve,

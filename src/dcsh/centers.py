@@ -21,7 +21,7 @@ from .errors import (
 )
 from .numerics import check_seed
 
-# Candidate sets drawn by `gen_bernoulli_centers` unless told otherwise.
+# Candidate sets drawn by `gen_bernoulli_centers`.
 BERNOULLI_TRIALS = 100
 
 
@@ -77,17 +77,15 @@ def gen_hadamard_centers(B, C):
     return HashCenterSet(codes=(H[:C] > 0).astype(np.uint8), epoch=0)
 
 
-def gen_bernoulli_centers(B, C, seed, trials=BERNOULLI_TRIALS):
-    """Best of `trials` i.i.d. Bern(0.5) codeword sets by minimum
+def gen_bernoulli_centers(B, C, seed):
+    """Best of BERNOULLI_TRIALS i.i.d. Bern(0.5) codeword sets by minimum
     pairwise Hamming distance; ties keep the earliest trial."""
-    if B < 1 or C < 1 or trials < 1:
-        raise ConfigurationError(
-            f"need B >= 1, C >= 1, trials >= 1, got B={B}, C={C}, trials={trials}"
-        )
+    if B < 1 or C < 1:
+        raise ConfigurationError(f"need B >= 1 and C >= 1, got B={B}, C={C}")
     rng = np.random.default_rng(check_seed(seed))
     best = None
     best_dist = -1
-    for _ in range(trials):
+    for _ in range(BERNOULLI_TRIALS):
         codes = HashCenterSet(rng.integers(0, 2, size=(C, B), dtype=np.uint8))
         if C == 1:
             return codes

@@ -15,7 +15,6 @@ import sys
 from . import __version__, formats
 from .cca import ALPHA_MODES
 from .centers import (
-    BERNOULLI_TRIALS,
     gen_bernoulli_centers,
     gen_hadamard_centers,
     min_pairwise_distance,
@@ -149,8 +148,6 @@ def _build_parser():
     opt("--bits", int, required_flag=True)
     opt("--classes", int, required_flag=True)
     opt("--seed", _parse_seed, default=0)
-    opt("--trials", int, default=BERNOULLI_TRIALS,
-        help="Bernoulli candidate sets")
     opt("--out", str, required_flag=True, help="center file path")
 
     opt = command("train", "train a model on a dataset", _cmd_train)
@@ -172,8 +169,6 @@ def _build_parser():
     opt("--hidden", _parse_hidden, default=DEFAULT_HIDDEN,
         help="extractor widths, comma separated")
     opt("--d-int", int, help="intermediate width, default max(4C, 128)")
-    opt("--trials", int, default=BERNOULLI_TRIALS,
-        help="Bernoulli trials when generating")
 
     opt = command("encode", "binarize a split to code files", _cmd_encode)
     opt("--model", str, required_flag=True)
@@ -221,11 +216,13 @@ def _apply_config(parser, args):
     raw = formats.read_config(args.config)
     for key in ("command", "version"):
         raw.pop(key, None)
-    for key in raw:
-        if key not in vars(args):
-            raise ConfigurationError(
-                f"unknown config key {key!r} for command {args.command!r}"
-            )
+    unknown = sorted(set(raw) - set(vars(args)))
+    if unknown:
+        plural = "s" if len(unknown) > 1 else ""
+        raise ConfigurationError(
+            f"unknown config key{plural} {', '.join(map(repr, unknown))} "
+            f"for command {args.command!r}"
+        )
     parser.set_defaults(**raw)
 
 
@@ -250,14 +247,14 @@ def _cmd_synth(args):
     return 0
 
 
-def _make_centers(bits, classes, seed, trials):
+def _make_centers(bits, classes, seed):
     if bits >= 1 and (bits & (bits - 1)) == 0 and classes <= bits:
         return gen_hadamard_centers(bits, classes), "hadamard"
-    return gen_bernoulli_centers(bits, classes, seed, trials), "bernoulli"
+    return gen_bernoulli_centers(bits, classes, seed), "bernoulli"
 
 
 def _cmd_gen_centers(args):
-    centers, kind = _make_centers(args.bits, args.classes, args.seed, args.trials)
+    centers, kind = _make_centers(args.bits, args.classes, args.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     formats.write_centers(args.out, centers)
@@ -279,9 +276,7 @@ def _cmd_train(args):
     if args.centers is not None:
         centers0 = formats.read_centers(args.centers)
     else:
-        centers0, _ = _make_centers(
-            args.bits, dataset.C, args.seed, args.trials
-        )
+        centers0, _ = _make_centers(args.bits, dataset.C, args.seed)
     model = build_model(
         D=dataset.D, C=dataset.C, bits=args.bits,
         hidden=args.hidden, d_int=args.d_int, seed=config.seed,
@@ -332,7 +327,7 @@ def _cmd_encode(args):
 
 def _load_index(code_path, labels):
     ids, bits = formats.read_codes_text(code_path)
-    if ids.max(initial=-1) >= len(labels) or ids.min(initial=0) < 0:
+    if ids.max(initial=-1) >= len(labels):
         raise ParseError(code_path, "code id outside the label file's range")
     return PackedCodeIndex.from_bits(
         bits, ids, labels=[labels[int(i)] for i in ids]

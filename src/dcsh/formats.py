@@ -3,7 +3,8 @@
 Binary formats pin magic, version, and little-endian layout; text
 formats are line-oriented. Every reader validates before returning and
 raises ParseError naming the file and, where it applies, the line.
-All writers round-trip bit-exactly through their readers.
+Every file the toolkit reads back round-trips bit-exactly through its
+writer and reader; the CSVs are results and have no reader.
 """
 
 import os
@@ -263,6 +264,8 @@ def write_codes_text(path, ids, bits):
     ids = np.asarray(ids, dtype=np.int64)
     if A.ndim != 2 or ids.shape[0] != A.shape[0]:
         raise ParseError(path, "ids and code rows must align")
+    if ids.min(initial=0) < 0:
+        raise ParseError(path, f"ids must be >= 0, got {ids.min()}")
     rows = _bits_to_text(A)
     _write_lines(path, [f"{i}\t{row}" for i, row in zip(ids.tolist(), rows)])
 
@@ -273,9 +276,7 @@ def _code_line_fault(line, B):
     ident, tab, code = line.partition(b"\t")
     if not tab:
         return "expected <id>\\t<bits>"
-    digits = ident[1:] if ident.startswith(b"-") else ident
-    if not (len(digits) <= 19 and digits.isdigit()
-            and -2**63 <= int(ident) < 2**63):
+    if not (len(ident) <= 19 and ident.isdigit() and int(ident) < 2**63):
         return f"bad id {ascii(ident.decode('latin-1'))}"
     if len(code) != B or code.strip(b"01"):
         return f"codeword must be {B} chars of 0/1"
@@ -286,10 +287,11 @@ def read_codes_text(path):
     """`<id>\\t<bits>` lines -> (int64 ids, N x B uint8 bits); the first
     line sets B, ids are distinct, and the first bad line is reported.
 
-    An id is an optional `-` and 1-19 decimal digits within int64; lines
-    end in `\\n` or `\\r\\n`, the last one optionally in neither. The file
-    is checked with array operations, one column of id digits at a time;
-    only the first bad line is decoded alone, to name its fault.
+    An id is a row number: 1-19 decimal digits with a value below 2**63.
+    Lines end in `\\n` or `\\r\\n`, the last one optionally in neither.
+    The file is checked with array operations, one column of id digits
+    at a time; only the first bad line is decoded alone, to name its
+    fault.
     """
     buf = np.fromfile(path, dtype=np.uint8)
     if not buf.size:
@@ -314,26 +316,21 @@ def read_codes_text(path):
     if bits.max() > 1:  # a whole-array max is ten times faster than per row
         ok &= bits.max(axis=1) <= 1
     ids = np.zeros(ends.size, dtype=np.uint64)
-    neg = np.zeros(ends.size, dtype=bool)
-    # Column j is the j-th byte left of the tab. It may be a digit up to
-    # j = 19, or the `-` that starts an id of two or more bytes; so an id
-    # of more than 20 bytes fails at j = 20, and no further column is read.
+    # Column j is the j-th byte left of the tab, a digit up to j = 19; so
+    # an id of more than 19 bytes fails at j = 20, and no further column
+    # is read. 19 digits stay below 10**19 < 2**64, so no sum wraps.
     for j in range(1, min(int(width.max()), 20) + 1):
-        c = buf.take(tabs - j, mode="clip")
+        digit = buf.take(tabs - j, mode="clip") - ord("0")
         live = width >= j
-        digit = c - ord("0")
         is_digit = live & (digit <= 9) & (j < 20)
-        sign = live & (c == ord("-")) & (width == j) & (j > 1)
-        ok &= ~live | is_digit | sign
+        ok &= ~live | is_digit
         ids += np.where(is_digit, digit, 0) * np.uint64(10 ** (j - 1))
-        neg |= sign
-    ok &= ids <= np.uint64(2**63 - 1) + neg
+    ok &= ids < np.uint64(2**63)
     bad = np.flatnonzero(~ok)
     if bad.size:
         n = int(bad[0])
         line = buf[starts[n]:ends[n]].tobytes()
         raise ParseError(path, _code_line_fault(line, B), line=n + 1)
-    np.negative(ids, out=ids, where=neg)
     ids = ids.view(np.int64)
     order = np.argsort(ids, kind="stable")
     repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
@@ -419,25 +416,6 @@ def write_loss_csv(path, rows):
         tail = "" if test is None else _fmt_float(test)
         lines.append(f"{epoch},{_fmt_float(train)},{tail}")
     _write_lines(path, lines)
-
-
-def read_loss_csv(path):
-    lines = _read_lines(path)
-    if not lines or lines[0] != "epoch,train_loss,test_loss":
-        raise ParseError(path, "bad loss CSV header", line=1)
-    rows = []
-    for ln, text in enumerate(lines[1:], start=2):
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ParseError(path, f"expected 3 fields, got {len(parts)}", line=ln)
-        try:
-            epoch = int(parts[0])
-            train = float(parts[1])
-            test = float(parts[2]) if parts[2] else None
-        except ValueError:
-            raise ParseError(path, f"bad loss row {text!r}", line=ln) from None
-        rows.append((epoch, train, test))
-    return rows
 
 
 def write_pr_csv(path, thresholds, recalls, precisions):

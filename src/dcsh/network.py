@@ -223,6 +223,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for names, kind, what in (
+            (("epochs", "batch_size", "decay_every"), numbers.Integral,
+             "an integer"),
+            (("lr", "lr_decay", "reg"), numbers.Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind):
+                    raise ConfigurationError(
+                        f"{name} must be {what}, got {value!r}"
+                    )
         if self.epochs < 1:
             raise ConfigurationError(f"need at least 1 epoch, got {self.epochs}")
         if self.lr <= 0:

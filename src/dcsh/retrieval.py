@@ -2,12 +2,13 @@
 
 A `PackedCodeIndex` holds the gallery in the word layout of `kernels`,
 which also packs each query and scans the gallery linearly with its
-popcount kernel, one cache-sized block at a time. The gallery keeps its
-file order. Rankings order by distance, then ascending id, so every
-result is deterministic regardless of storage order: `_rank` bisects
-[0, B] for the k-th smallest distance t, counting rows with d <= t in
-each step, then sorts only the rows within t, cutting a large tie block
-at t down to k rows.
+popcount kernel, one cache-sized block at a time. Its `distances`, one
+codeword against every row, is the only Hamming distance this module
+offers. The gallery keeps its file order. Rankings order by distance,
+then ascending id, so every result is deterministic regardless of
+storage order: `_rank` bisects [0, B] for the k-th smallest distance t,
+counting rows with d <= t in each step, then sorts only the rows within
+t, cutting a large tie block at t down to k rows.
 A gallery sample is relevant to a query when it carries one of the
 query's classes (`relevance_mask`); the same-class rule only adds that
 every label set, the query's included, holds exactly one class. A query
@@ -32,28 +33,16 @@ SHARE_ANY = "share-any-label"
 RELEVANCE_RULES = (SAME_CLASS, SHARE_ANY)
 
 
-def _as_bits(code, name="code"):
-    """A 1-D array of the code's entries; `pack_codes` checks they are 0/1."""
+def _as_bits(code):
+    """A 1-D array of the query's entries; `pack_codes` checks they are 0/1."""
     if isinstance(code, str):
         code = np.frombuffer(code.encode(errors="replace"), np.uint8) - ord("0")
         if (code > 1).any():
-            raise DimensionError(f"{name} string must be 0/1 characters")
+            raise DimensionError("query string must be 0/1 characters")
     A = np.asarray(code)
     if A.ndim != 1 or A.shape[0] < 1:
-        raise DimensionError(f"{name} must be a non-empty bit vector")
+        raise DimensionError("query must be a non-empty bit vector")
     return A
-
-
-def hamming(a, b):
-    """Number of differing bits between two codewords of equal length."""
-    A = _as_bits(a, "a")
-    Bv = _as_bits(b, "b")
-    if A.shape[0] != Bv.shape[0]:
-        raise DimensionError(
-            f"codeword lengths differ: {A.shape[0]} vs {Bv.shape[0]}"
-        )
-    words = pack_codes(np.stack((A, Bv)))
-    return int(kernels.scan_distances(words[:1], words[1])[0])
 
 
 class PackedCodeIndex:
@@ -93,8 +82,9 @@ class PackedCodeIndex:
         return self.words.shape[0]
 
     def distances(self, code):
-        """Hamming distance from one codeword to every indexed sample."""
-        q = _as_bits(code, "query")
+        """Hamming distance from one codeword, a `0`/`1` string or a bit
+        vector, to every indexed sample."""
+        q = _as_bits(code)
         if q.shape[0] != self.B:
             raise DimensionError(
                 f"query has {q.shape[0]} bits, index holds {self.B}"

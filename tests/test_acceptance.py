@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from dcsh import formats
 from dcsh.cca import alpha, dcsh_lower_bound, k_max
 from dcsh.centers import gen_hadamard_centers, update_centers
 from dcsh.cli import main
 from dcsh.data import LabelSet, multi_hot
 from dcsh.network import finite_difference_report
-from dcsh.retrieval import average_precision, hamming
+from dcsh.retrieval import PackedCodeIndex, average_precision
 
 
 def check(ok, line):
@@ -53,7 +52,7 @@ def separable_run(tmp_path_factory):
         "--epochs", "50", "--alpha", "emphasized", "--seed", "0",
     ]) == 0
     elapsed = time.perf_counter() - start
-    rows = formats.read_loss_csv(run / "loss.csv")
+    rows = np.genfromtxt(run / "loss.csv", delimiter=",", names=True)
     return {"root": root, "data": data, "run": run,
             "elapsed": elapsed, "rows": rows}
 
@@ -61,7 +60,7 @@ def separable_run(tmp_path_factory):
 def test_lower_bound_attainment(separable_run):
     rows = separable_run["rows"]
     elapsed = separable_run["elapsed"]
-    final = rows[-1][1]
+    final = rows["train_loss"][-1]
     ok = final <= -38.0 and len(rows) <= 50 and elapsed < 180.0
     check(ok, f"separable run reaches {final:.6f} (target <= -38) in "
               f"{len(rows)} epochs, {elapsed:.1f} s (limit 180 s)")
@@ -83,7 +82,8 @@ def test_multilabel_bound_gap(tmp_path_factory):
         "--out", str(run), "--bits", "32", "--batch", "200",
         "--lr", "0.0003", "--epochs", "50", "--seed", "0",
     ]) == 0
-    final = formats.read_loss_csv(run / "loss.csv")[-1][1]
+    final = np.genfromtxt(run / "loss.csv", delimiter=",",
+                          names=True)["train_loss"][-1]
     bound = dcsh_lower_bound(32, 20)
     ok = -62.0 < final <= -40.0 and final >= bound - 1e-3
     check(ok, f"multi-label run settles at {final:.6f}, inside (-62, -40] "
@@ -195,10 +195,11 @@ def test_retrieval_metric_oracles():
         n = 1429
         A = rng.integers(0, 2, size=(n, B), dtype=np.uint8)
         Bv = rng.integers(0, 2, size=(n, B), dtype=np.uint8)
-        fast = np.array([hamming(a, b) for a, b in zip(A, Bv)])
-        slow = (A != Bv).sum(axis=1)
-        hamming_ok &= bool(np.array_equal(fast, slow))
-        pair_count += n
+        index = PackedCodeIndex.from_bits(Bv, ids=np.arange(n))
+        for a in A[:100]:
+            slow = (Bv != a).sum(axis=1)
+            hamming_ok &= bool(np.array_equal(index.distances(a), slow))
+        pair_count += 100 * n
     ap_ok = True
     for _ in range(1000):
         n = int(rng.integers(1, 50))
@@ -214,7 +215,7 @@ def test_retrieval_metric_oracles():
         ap_ok &= abs(average_precision(rel, R_total) - want) < 1e-12
     exact = abs(average_precision([1, 0, 1], 2) - (1.0 + 2.0 / 3.0) / 2.0)
     ok = hamming_ok and ap_ok and exact < 1e-12
-    check(ok, f"hamming vs bit loop on {pair_count} pairs (incl. B=67), "
+    check(ok, f"distances vs bit loop on {pair_count} pairs (incl. B=67), "
               f"AP vs oracle on 1000 vectors, [1,0,1]/R=2 off by {exact:.1e}")
 
 

@@ -129,15 +129,16 @@ class TestBernoulli:
         assert not np.array_equal(a.codes, b.codes)
 
     def test_best_of_trials_separation(self):
-        cs = gen_bernoulli_centers(48, 10, seed=7, trials=100)
+        cs = gen_bernoulli_centers(48, 10, seed=7)
         assert cs.B == 48 and cs.C == 10
         d = min_pairwise_distance(cs)
         assert d == 20
         assert d >= 16
 
-    def test_more_trials_never_hurt(self):
-        few = min_pairwise_distance(gen_bernoulli_centers(32, 6, seed=1, trials=1))
-        many = min_pairwise_distance(gen_bernoulli_centers(32, 6, seed=1, trials=50))
+    def test_more_trials_never_hurt(self, monkeypatch):
+        many = min_pairwise_distance(gen_bernoulli_centers(32, 6, seed=1))
+        monkeypatch.setattr("dcsh.centers.BERNOULLI_TRIALS", 1)
+        few = min_pairwise_distance(gen_bernoulli_centers(32, 6, seed=1))
         assert many >= few
 
     def test_single_class(self):

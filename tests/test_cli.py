@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from dcsh import __version__, cli, formats
-from dcsh.centers import BERNOULLI_TRIALS
+from dcsh import __version__, cli, formats, network
+from dcsh.cca import alpha
+from dcsh.centers import assign_target
 from dcsh.cli import _build_parser, main
 from dcsh.network import DEFAULT_HIDDEN, TrainConfig
 from dcsh.retrieval import SAME_CLASS, unpack_codes
@@ -82,9 +83,9 @@ class TestPipelineArtifacts:
         assert len(layers) == 4
         assert layers[0][0].shape == (8, 16)
         assert layers[-1][0].shape == (20, 4)
-        rows = formats.read_loss_csv(run / "loss.csv")
-        assert [r[0] for r in rows] == [0, 1]
-        assert all(np.isfinite(r[1]) for r in rows)
+        rows = np.genfromtxt(run / "loss.csv", delimiter=",", names=True)
+        assert rows["epoch"].tolist() == [0, 1]
+        assert np.isfinite(rows["train_loss"]).all()
         for epoch in (0, 1, 2):
             cs = formats.read_centers(run / f"centers-e{epoch:04d}.txt")
             assert cs.epoch == epoch
@@ -172,10 +173,11 @@ class TestConfigMerge:
             "train", f"--config={pipeline / 'run' / 'manifest-train.txt'}",
             "--out", str(run3), "--epochs", "1",
         ]) == 0
-        rows = formats.read_loss_csv(run3 / "loss.csv")
-        assert len(rows) == 1
-        first = formats.read_loss_csv(pipeline / "run" / "loss.csv")[0]
-        assert rows[0] == first
+        rows = np.genfromtxt(run3 / "loss.csv", delimiter=",", names=True)
+        assert rows.shape == ()  # one row
+        first = np.genfromtxt(pipeline / "run" / "loss.csv", delimiter=",",
+                              names=True)[0]
+        assert rows.tolist() == first.tolist()
 
     def test_unknown_config_key(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
@@ -188,6 +190,17 @@ class TestConfigMerge:
         cfg.write_text("zeta=1\nalpha=2\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "'zeta'" in capsys.readouterr().err
+
+    def test_every_unknown_key_named_sorted(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("zeta=1\nn=20\nalpha=2\nmid=3\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config keys 'alpha', 'mid', 'zeta' for command "
+            "'synth'\n"
+        )
+        assert not out.exists()
 
     def test_config_abbreviation(self, tmp_path):
         cfg = tmp_path / "s.txt"
@@ -217,7 +230,7 @@ class TestConfigMerge:
 
     @pytest.mark.parametrize("line", [
         "normalized_update=false", "alpha_mode=emphasized",
-        "alpha_override=0.5", "clamp=1e-08", "momentum=0.0",
+        "alpha_override=0.5", "clamp=1e-08", "momentum=0.0", "trials=100",
     ])
     def test_retired_key(self, pipeline, tmp_path, capsys, line):
         # Train manifests written before the key was removed carry it.
@@ -265,6 +278,56 @@ class TestConfigMerge:
         assert ds.N == 20
 
 
+class TestLossCsv:
+    def test_rows_are_the_losses_train_computed(self, pipeline, tmp_path,
+                                                monkeypatch):
+        """Each epoch's train loss is the mean of its batch losses, and its
+        test loss is the one call over the whole query split; the last
+        one is recomputed from model.bin and that epoch's centers."""
+        calls = []
+        dcsh_loss = network.dcsh_loss
+
+        def recording(x_h, *args):
+            result = dcsh_loss(x_h, *args)
+            calls.append((x_h.shape[0], result[0]))
+            return result
+
+        monkeypatch.setattr(network, "dcsh_loss", recording)
+        data = pipeline / "data"
+        run = tmp_path / "run"
+        epochs, batches = 3, 176 // 40
+        assert main([
+            "train", "--features", str(data / "features.bin"),
+            "--labels", str(data / "labels.txt"),
+            "--splits", str(data / "splits.txt"),
+            "--centers", str(pipeline / "centers.txt"), "--out", str(run),
+            "--bits", "8", "--batch", "40", "--lr", "0.001",
+            "--epochs", str(epochs), "--hidden", "16", "--d-int", "20",
+        ]) == 0
+        rows = np.genfromtxt(run / "loss.csv", delimiter=",", names=True)
+        assert len(rows) == epochs
+        assert len(calls) == epochs * (batches + 1)
+        for epoch, row in enumerate(rows):
+            block = calls[epoch * (batches + 1):(epoch + 1) * (batches + 1)]
+            assert [n for n, _ in block] == [40] * batches + [44]
+            assert row["epoch"] == epoch
+            assert row["train_loss"] == np.mean([loss for _, loss in block[:-1]])
+            assert row["test_loss"] == block[-1][1]
+
+        ds = formats.load_dataset(
+            data / "features.bin", data / "labels.txt", data / "splits.txt"
+        )
+        model = network.DcshModel(formats.read_model(run / "model.bin"))
+        centers = formats.read_centers(run / f"centers-e{epochs - 1:04d}.txt")
+        Y_c = ds.labels[ds.query_indices]
+        targets = np.array([assign_target(np.flatnonzero(y), centers, 0)
+                            for y in Y_c], dtype=np.float64)
+        x_h, x_c = network.predict(model, ds.features[ds.query_indices])
+        test_loss, _, _ = dcsh_loss(x_h, targets, x_c, Y_c,
+                                    alpha(8, 4, "emphasized"), TrainConfig.reg)
+        assert rows["test_loss"][-1] == test_loss
+
+
 class TestTrainDefaults:
     def test_flags_default_to_train_config(self):
         top, _ = _build_parser()
@@ -284,8 +347,6 @@ class TestTrainDefaults:
         assert top.parse_args(["train", "--alpha", text]).alpha == want
 
     @pytest.mark.parametrize("command, dest, want", [
-        ("gen-centers", "trials", BERNOULLI_TRIALS),
-        ("train", "trials", BERNOULLI_TRIALS),
         ("eval-map", "rule", SAME_CLASS),
         ("eval-pr", "rule", SAME_CLASS),
     ])
@@ -584,6 +645,50 @@ class TestExitCodes:
             "--k", "2", "--out", str(tmp_path / "eval"),
         ]) == 2
         assert f"{gallery}:3: duplicate id 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["query", "eval-map", "eval-pr"])
+    def test_negative_code_id_is_a_data_error(self, tmp_path, capsys, command):
+        gallery = tmp_path / "codes-gallery.txt"
+        gallery.write_text("0\t1010\n-3\t0101\n")
+        query = tmp_path / "codes-query.txt"
+        query.write_text("1\t1010\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("classes=2\n0\n1\n")
+        out = tmp_path / "eval"
+        pair = ["--gallery-codes", str(gallery), "--query-codes", str(query),
+                "--labels", str(labels), "--out", str(out)]
+        argv = {
+            "query": ["query", "--gallery-codes", str(gallery),
+                      "--code", "1010"],
+            "eval-map": ["eval-map", *pair, "--k", "2"],
+            "eval-pr": ["eval-pr", *pair],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gallery}:2: bad id '-3'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-centers", "train"])
+    def test_trials_is_not_an_option(self, pipeline, tmp_path, capsys,
+                                     command):
+        data = pipeline / "data"
+        out = tmp_path / "out"
+        argv = {
+            # 24 bits is no power of two, so the centers would be Bernoulli
+            "gen-centers": ["gen-centers", "--bits", "24", "--classes", "10",
+                            "--out", str(out / "c.txt")],
+            "train": ["train", "--features", str(data / "features.bin"),
+                      "--labels", str(data / "labels.txt"),
+                      "--splits", str(data / "splits.txt"),
+                      "--out", str(out), "--bits", "24", "--batch", "44",
+                      "--epochs", "1"],
+        }[command]
+        assert main([*argv, "--trials", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --trials 5\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, where", [
         (b"0\t1010\n1\t10\xe90\n", ":2: codeword must be 4 chars of 0/1"),

@@ -370,6 +370,25 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("epochs", 2.5, "an integer"),
+        ("batch_size", 44.5, "an integer"),
+        ("decay_every", 10.0, "an integer"),
+        ("lr", None, "a number"),
+        ("lr_decay", "0.7", "a number"),
+        ("reg", None, "a number"),
+    ])
+    def test_wrong_type_rejected(self, field, value, what):
+        kwargs = {"epochs": 5, field: value}
+        with pytest.raises(ConfigurationError) as err:
+            TrainConfig(**kwargs)
+        assert str(err.value) == f"{field} must be {what}, got {value!r}"
+
+    def test_numpy_scalars_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(5), batch_size=np.int32(44),
+                          lr=np.float64(1e-3), reg=np.float32(1e-4))
+        assert cfg.epochs == 5 and cfg.batch_size == 44
+
 
 def small_run(seed=0, epochs=3, **kwargs):
     dataset = gen_synthetic(N=220, D=8, C=4, B_separation=6.0, seed=seed,

@@ -6,7 +6,6 @@ from dcsh.errors import ConfigurationError, DimensionError, LabelError
 from dcsh.retrieval import (
     PackedCodeIndex,
     average_precision,
-    hamming,
     map_at_k,
     pack_codes,
     pr_curve,
@@ -85,28 +84,38 @@ class TestPacking:
 
 
 class TestHamming:
+    """The one-query Hamming distance, `PackedCodeIndex.distances`."""
+
     def test_examples(self):
-        assert hamming("0000", "1111") == 4
-        assert hamming("1010", "1010") == 0
-        assert hamming("1010", "1000") == 1
-        assert hamming([1, 0, 1], [0, 0, 1]) == 1
+        idx = PackedCodeIndex.from_bits([[1, 1, 1, 1], [1, 0, 1, 0]], ids=[0, 1])
+        assert idx.distances("0000").tolist() == [4, 2]
+        assert idx.distances("1010").tolist() == [2, 0]
+        assert idx.distances("1000").tolist() == [3, 1]
+        assert idx.distances([1, 0, 1, 0]).tolist() == [2, 0]
+        assert idx.distances(np.array([0, 1, 1, 1])).tolist() == [1, 3]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            hamming("101", "10")
+        idx = PackedCodeIndex.from_bits([[1, 0, 1, 0]], ids=[0])
+        for code in ("101", "10100", [1, 0, 1], ""):
+            with pytest.raises(DimensionError):
+                idx.distances(code)
 
     def test_bad_characters_rejected(self):
-        with pytest.raises(DimensionError):
-            hamming("10x", "101")
+        idx = PackedCodeIndex.from_bits([[1, 0, 1, 0]], ids=[0])
+        for code in ("10x0", "1020", "10 0", "10\u00e90"):
+            with pytest.raises(DimensionError):
+                idx.distances(code)
 
     @pytest.mark.parametrize("B", [1, 12, 16, 24, 32, 48, 63, 64, 65, 67, 128])
     def test_against_bit_loop(self, B):
         rng = np.random.default_rng(B)
-        pairs = 10_000 // 7 + 1
-        A = rng.integers(0, 2, size=(pairs, B), dtype=np.uint8)
-        C = rng.integers(0, 2, size=(pairs, B), dtype=np.uint8)
-        for a, c in zip(A, C):
-            assert hamming(a, c) == naive_hamming(a, c)
+        rows = 10_000 // 7 + 1
+        A = rng.integers(0, 2, size=(rows, B), dtype=np.uint8)
+        C = rng.integers(0, 2, size=(rows, B), dtype=np.uint8)
+        idx = PackedCodeIndex.from_bits(C, ids=np.arange(rows))
+        for i in rng.choice(rows, size=20, replace=False):
+            want = [naive_hamming(A[i], c) for c in C]
+            assert idx.distances(A[i]).tolist() == want
 
 
 @pytest.mark.parametrize("B", [1, 63, 64, 65, 67, 128])
