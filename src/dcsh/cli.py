@@ -306,10 +306,7 @@ def _cmd_encode(args):
         raise ParseError(args.model, str(exc)) from None
     X = formats.read_features(args.features)
     tags = formats.read_split(args.splits)
-    if len(tags) != X.shape[0]:
-        raise ParseError(
-            args.splits, f"{len(tags)} split lines vs {X.shape[0]} feature rows"
-        )
+    formats.check_row_count(args.splits, "split", len(tags), X.shape[0])
     ids = split_indices(tags, args.split)
     if ids.shape[0] == 0:
         raise ConfigurationError(f"split {args.split!r} selects no samples")

@@ -1,5 +1,5 @@
-"""Datasets (features, N x C 0/1 label table, split tags) and the label
-code: `LabelSet`, `label_incidence`, `multi_hot`, `check_label_table`.
+"""Datasets (features, N x C 0/1 label table, split role bits) and the
+label code: `LabelSet`, `label_incidence`, `multi_hot`, `check_label_table`.
 
 Also provides the seeded synthetic generator used for desk-scale runs:
 class prototypes on a scaled unit sphere, unit Gaussian noise, optional
@@ -15,20 +15,18 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, LabelError
 from .numerics import check_seed
 
-TAG_TRAIN = "train"
-TAG_GALLERY = "gallery"
-TAG_QUERY = "query"
-TAG_GALLERY_TRAIN = "gallery+train"
-SPLIT_TAGS = (TAG_TRAIN, TAG_GALLERY, TAG_QUERY, TAG_GALLERY_TRAIN)
+# Split tag -> role bits; a row is in each split whose bit it sets.
+SPLIT_ROLES = {"train": 1, "gallery": 2, "query": 4, "gallery+train": 3}
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """N samples: features (N x D), float64 N x C 0/1 label table, tags."""
+    """N samples: features (N x D), float64 N x C 0/1 label table, and
+    tags, N uint8 role bits (`SPLIT_ROLES`)."""
 
     features: np.ndarray
     labels: np.ndarray
-    tags: tuple
+    tags: np.ndarray
 
     def __post_init__(self):
         # Views, so the caller's arrays stay writeable.
@@ -47,17 +45,20 @@ class Dataset:
         check_label_table(Y)
         Y.setflags(write=False)
         object.__setattr__(self, "labels", Y)
-        tags = tuple(self.tags)
-        object.__setattr__(self, "tags", tags)
-        if len(tags) != F.shape[0]:
+        T = np.asarray(self.tags)
+        if T.shape != (F.shape[0],):
             raise DimensionError(
-                f"{len(tags)} split tags vs {F.shape[0]} feature rows"
+                f"split tags of shape {T.shape} vs {F.shape[0]} feature rows"
             )
-        for n, tag in enumerate(tags):
-            if tag not in SPLIT_TAGS:
-                raise ConfigurationError(
-                    f"sample {n} has unknown split tag {tag!r}"
-                )
+        bad = np.flatnonzero(~np.isin(T, tuple(SPLIT_ROLES.values())))
+        if bad.size:
+            n = int(bad[0])
+            raise ConfigurationError(
+                f"sample {n} has unknown split tag {T[n].item()!r}"
+            )
+        T = T.astype(np.uint8, copy=False).view()
+        T.setflags(write=False)
+        object.__setattr__(self, "tags", T)
 
     @property
     def C(self):
@@ -73,30 +74,28 @@ class Dataset:
 
     @property
     def train_indices(self):
-        return split_indices(self.tags, TAG_TRAIN)
+        return split_indices(self.tags, "train")
 
     @property
     def gallery_indices(self):
-        return split_indices(self.tags, TAG_GALLERY)
+        return split_indices(self.tags, "gallery")
 
     @property
     def query_indices(self):
-        return split_indices(self.tags, TAG_QUERY)
+        return split_indices(self.tags, "query")
 
 
 def split_indices(tags, which):
-    """Rows whose tag names `which` (train, gallery or query); "all"
+    """Rows whose role bits hold `which` (train, gallery or query); "all"
     selects every row."""
     if which == "all":
         return np.arange(len(tags), dtype=np.int64)
-    if which not in (TAG_TRAIN, TAG_GALLERY, TAG_QUERY):
+    if which not in ("train", "gallery", "query"):
         raise ConfigurationError(
             f"split must be train, gallery, query, or all, got {which!r}"
         )
-    return np.array(
-        [n for n, t in enumerate(tags) if which in t.split("+")],
-        dtype=np.int64,
-    )
+    rows = np.flatnonzero(tags & SPLIT_ROLES[which])
+    return rows.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -204,11 +203,9 @@ def gen_synthetic(N, D, C, B_separation=6.0, multilabel_p=0.0, seed=0,
     labels = np.zeros((N, C))
     labels[np.arange(N), base] = 1.0
     labels[second_mask, second[second_mask]] = 1.0
-    n_query = int(round(query_frac * N))
-    tags = [TAG_QUERY] * n_query + [TAG_GALLERY_TRAIN] * (N - n_query)
+    tags = np.full(N, SPLIT_ROLES["gallery+train"], dtype=np.uint8)
+    tags[:int(round(query_frac * N))] = SPLIT_ROLES["query"]
     perm = rng.permutation(N)
     return Dataset(
-        features=features[perm],
-        labels=labels[perm],
-        tags=tuple(tags[int(i)] for i in perm),
+        features=features[perm], labels=labels[perm], tags=tags[perm]
     )

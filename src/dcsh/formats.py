@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .centers import HashCenterSet
-from .data import SPLIT_TAGS, Dataset, LabelSet, multi_hot
+from .data import SPLIT_ROLES, Dataset, LabelSet, multi_hot
 from .errors import DimensionError, LabelError, ParseError
 
 FEATURE_MAGIC = b"DCSHFEAT"
@@ -23,6 +23,7 @@ MODEL_MAGIC = b"DCSHMODL"
 FORMAT_VERSION = 1
 # The bytes of a text file: line ends, tab and printable ASCII.
 _TEXT_BYTES = b"\t\n" + bytes(range(0x20, 0x7f))
+_SPLIT_TAGS = {bits: tag for tag, bits in SPLIT_ROLES.items()}
 
 
 def _read_bytes(path):
@@ -191,27 +192,36 @@ def read_labels(path):
 # ------------------------------------------------------------------ splits
 
 def write_split(path, tags):
-    for tag in tags:
-        if tag not in SPLIT_TAGS:
-            raise ParseError(path, f"unknown split tag {tag!r}")
-    _write_lines(path, tags)
+    """One split tag per line, for role bits as `Dataset.tags` holds them."""
+    try:
+        lines = [_SPLIT_TAGS[t] for t in np.asarray(tags).tolist()]
+    except KeyError as exc:
+        raise ParseError(path, f"unknown split tag {exc.args[0]!r}") from None
+    _write_lines(path, lines)
 
 
 def read_split(path):
+    """uint8 role bits (`data.SPLIT_ROLES`), one per line."""
     lines = _read_lines(path)
-    tags = []
-    for ln, text in enumerate(lines, start=1):
-        if text not in SPLIT_TAGS:
-            raise ParseError(
-                path,
-                f"unknown split tag {text!r}, expected one of {SPLIT_TAGS}",
-                line=ln,
-            )
-        tags.append(text)
-    return tags
+    try:
+        return np.fromiter(map(SPLIT_ROLES.__getitem__, lines),
+                           dtype=np.uint8, count=len(lines))
+    except KeyError as exc:
+        # The lookup stops at the first unknown tag.
+        tag = exc.args[0]
+        raise ParseError(
+            path, f"unknown split tag {tag!r}, expected one of "
+            f"{tuple(SPLIT_ROLES)}", line=lines.index(tag) + 1,
+        ) from None
 
 
 # ----------------------------------------------------------------- dataset
+
+def check_row_count(path, what, rows, N):
+    """The file at `path` must hold one `what` line per feature row."""
+    if rows != N:
+        raise ParseError(path, f"{rows} {what} lines vs {N} feature rows")
+
 
 def save_dataset(dataset, feature_path, label_path, split_path):
     write_features(feature_path, dataset.features)
@@ -223,17 +233,9 @@ def load_dataset(feature_path, label_path, split_path):
     X = read_features(feature_path)
     labels, C = read_labels(label_path)
     tags = read_split(split_path)
-    if len(labels) != X.shape[0]:
-        raise ParseError(
-            label_path,
-            f"{len(labels)} label lines vs {X.shape[0]} feature rows",
-        )
-    if len(tags) != X.shape[0]:
-        raise ParseError(
-            split_path,
-            f"{len(tags)} split lines vs {X.shape[0]} feature rows",
-        )
-    return Dataset(features=X, labels=multi_hot(labels, C), tags=tuple(tags))
+    check_row_count(label_path, "label", len(labels), X.shape[0])
+    check_row_count(split_path, "split", len(tags), X.shape[0])
+    return Dataset(features=X, labels=multi_hot(labels, C), tags=tags)
 
 
 # ----------------------------------------------------------------- centers

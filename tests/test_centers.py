@@ -12,7 +12,13 @@ from dcsh.centers import (
     min_pairwise_distance,
     update_centers,
 )
-from dcsh.data import Dataset, LabelSet, label_incidence, multi_hot
+from dcsh.data import (
+    SPLIT_ROLES,
+    Dataset,
+    LabelSet,
+    label_incidence,
+    multi_hot,
+)
 from dcsh.errors import (
     ConfigurationError,
     CoverageError,
@@ -340,7 +346,8 @@ class TestUpdateCenters:
         with pytest.raises(error) as in_update:
             update_centers(np.full((3, 3), 0.5), Y)
         with pytest.raises(error) as in_dataset:
-            Dataset(np.zeros((3, 2)), Y, tags=("train",) * 3)
+            Dataset(np.zeros((3, 2)), Y,
+                    tags=np.full(3, SPLIT_ROLES["train"]))
         assert str(in_update.value) == str(in_dataset.value)
 
     def test_uncovered_class_rejected(self):

@@ -632,6 +632,19 @@ class TestExitCodes:
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_encode_split_count_mismatch(self, pipeline, tmp_path, capsys):
+        splits = tmp_path / "splits.txt"
+        splits.write_text("query\ngallery+train\n")
+        assert main([
+            "encode", "--model", str(pipeline / "run" / "model.bin"),
+            "--features", str(pipeline / "data" / "features.bin"),
+            "--splits", str(splits), "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {splits}: 2 split lines vs 220 feature rows\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_code_id(self, tmp_path, capsys):
         gallery = tmp_path / "codes-gallery.txt"
         gallery.write_text("0\t1010\n1\t0101\n0\t1111\n")

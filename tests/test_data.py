@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dcsh.data import Dataset, check_label_table, gen_synthetic, multi_hot
+from dcsh.data import (
+    SPLIT_ROLES,
+    Dataset,
+    check_label_table,
+    gen_synthetic,
+    multi_hot,
+    split_indices,
+)
 from dcsh.errors import ConfigurationError, DimensionError, LabelError
 
 
@@ -10,12 +17,17 @@ def one_label(*classes):
     return multi_hot([[c] for c in classes], max(classes) + 1)
 
 
+def roles(*tags):
+    """The uint8 role bits of split tags, through `SPLIT_ROLES`."""
+    return np.array([SPLIT_ROLES[t] for t in tags], dtype=np.uint8)
+
+
 class TestDataset:
     def make(self):
         return Dataset(
             features=np.arange(8, dtype=np.float64).reshape(4, 2),
             labels=multi_hot([[0], [1], [0, 1], [1]], 2),
-            tags=("query", "gallery+train", "gallery", "train"),
+            tags=roles("query", "gallery+train", "gallery", "train"),
         )
 
     def test_shape_properties(self):
@@ -34,7 +46,7 @@ class TestDataset:
     def test_C_is_the_table_width(self):
         # The last class has no sample; the width still counts it.
         ds = Dataset(np.zeros((2, 2)), multi_hot([[0], [1]], 4),
-                     tags=("train",) * 2)
+                     tags=roles(*["train"] * 2))
         assert ds.C == 4
 
     def test_split_indices(self):
@@ -56,55 +68,116 @@ class TestDataset:
     def test_callers_features_stay_writeable(self):
         F = np.zeros((2, 2))
         Y = one_label(0, 0)
-        ds = Dataset(F, Y, tags=("train",) * 2)
+        ds = Dataset(F, Y, tags=roles(*["train"] * 2))
         assert np.shares_memory(ds.features, F)
         assert F.flags.writeable and not ds.features.flags.writeable
         assert np.shares_memory(ds.labels, Y)
         assert Y.flags.writeable and not ds.labels.flags.writeable
 
+    def test_tags_are_read_only_role_bits(self):
+        ds = self.make()
+        assert ds.tags.dtype == np.uint8
+        np.testing.assert_array_equal(ds.tags, [4, 3, 2, 1])
+        with pytest.raises(ValueError):
+            ds.tags[0] = 1
+
+    def test_callers_tags_stay_writeable(self):
+        T = roles("train", "query")
+        ds = Dataset(np.zeros((2, 2)), one_label(0, 0), tags=T)
+        assert np.shares_memory(ds.tags, T)
+        assert T.flags.writeable and not ds.tags.flags.writeable
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(DimensionError, match=r"\(1, 1\) vs 3"):
-            Dataset(np.zeros((3, 2)), one_label(0), tags=("train",) * 3)
+            Dataset(np.zeros((3, 2)), one_label(0),
+                    tags=roles(*["train"] * 3))
 
     def test_tag_count_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            Dataset(np.zeros((2, 2)), one_label(0, 0), tags=("train",))
+        with pytest.raises(DimensionError) as err:
+            Dataset(np.zeros((2, 2)), one_label(0, 0), tags=roles("train"))
+        assert str(err.value) == "split tags of shape (1,) vs 2 feature rows"
 
     def test_out_of_range_label_rejected(self):
         # A class >= C cannot reach a Dataset: multi_hot, which builds
         # the table from label sets, rejects it.
         with pytest.raises(LabelError, match="class index 3 >= C=2"):
-            Dataset(np.zeros((1, 2)), multi_hot([[3]], 2), tags=("train",))
+            Dataset(np.zeros((1, 2)), multi_hot([[3]], 2),
+                    tags=roles("train"))
 
     @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
     def test_non_binary_entry_rejected(self, bad):
         Y = one_label(0, 1)
         Y[1, 0] = bad
         with pytest.raises(DimensionError, match="0 or 1"):
-            Dataset(np.zeros((2, 2)), Y, tags=("train",) * 2)
+            Dataset(np.zeros((2, 2)), Y, tags=roles(*["train"] * 2))
 
     def test_row_without_class_rejected(self):
         Y = one_label(0, 1, 0)
         Y[1] = 0.0
         with pytest.raises(LabelError, match="sample 1 has no class"):
-            Dataset(np.zeros((3, 2)), Y, tags=("train",) * 3)
+            Dataset(np.zeros((3, 2)), Y, tags=roles(*["train"] * 3))
 
     def test_one_dimensional_table_rejected(self):
         with pytest.raises(DimensionError, match="label table of shape"):
-            Dataset(np.zeros((2, 2)), np.ones(2), tags=("train",) * 2)
+            Dataset(np.zeros((2, 2)), np.ones(2),
+                    tags=roles(*["train"] * 2))
 
     def test_zero_classes_rejected(self):
         with pytest.raises(LabelError, match="sample 0 has no class"):
-            Dataset(np.zeros((1, 2)), np.zeros((1, 0)), tags=("train",))
+            Dataset(np.zeros((1, 2)), np.zeros((1, 0)),
+                    tags=roles("train"))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigurationError):
             Dataset(np.zeros((1, 2)), one_label(0), tags=("test",))
 
+    @pytest.mark.parametrize("tags, error, message", [
+        (("train", "query"), ConfigurationError,
+         "sample 0 has unknown split tag 'train'"),
+        *[(np.array([3, value], dtype=np.uint8), ConfigurationError,
+           f"sample 1 has unknown split tag {value}")
+          for value in (0, 5, 6, 7, 8)],
+        (roles("train", "query").reshape(2, 1), DimensionError,
+         "split tags of shape (2, 1) vs 2 feature rows"),
+    ], ids=["tag-strings", "role-0", "role-5", "role-6", "role-7", "role-8",
+            "two-dimensional"])
+    def test_bad_tags_rejected(self, tags, error, message):
+        """Only N role bits from `SPLIT_ROLES` make tags; there is no
+        second path for tag strings."""
+        with pytest.raises(error) as err:
+            Dataset(np.zeros((2, 2)), one_label(0, 0), tags=tags)
+        assert str(err.value) == message
+
     def test_non_finite_features_rejected(self):
         with pytest.raises(DimensionError):
             Dataset(np.array([[np.inf, 0.0]]), one_label(0),
-                    tags=("train",))
+                    tags=roles("train"))
+
+
+class TestSplitIndices:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_string_rule(self, seed):
+        """Role bits select the rows that the string rule, a tag names
+        `which` among its `+` parts, selects."""
+        rng = np.random.default_rng(seed)
+        tags = rng.choice(list(SPLIT_ROLES), size=rng.integers(0, 300))
+        T = roles(*tags)
+        for which in ("train", "gallery", "query"):
+            got = split_indices(T, which)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, [n for n, t in enumerate(tags) if which in t.split("+")]
+            )
+        np.testing.assert_array_equal(
+            split_indices(T, "all"), np.arange(len(tags))
+        )
+
+    def test_unknown_split_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            split_indices(roles("train"), "bogus")
+        assert str(err.value) == (
+            "split must be train, gallery, query, or all, got 'bogus'"
+        )
 
 
 class TestCheckLabelTable:
@@ -167,7 +240,7 @@ class TestGenSynthetic:
         b = gen_synthetic(N=50, D=8, C=4, multilabel_p=0.3, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
-        assert a.tags == b.tags
+        np.testing.assert_array_equal(a.tags, b.tags)
 
     def test_seed_changes_features(self):
         a = gen_synthetic(N=50, D=8, C=4, seed=1)

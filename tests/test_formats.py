@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcsh.centers import HashCenterSet, gen_bernoulli_centers
-from dcsh.data import gen_synthetic, multi_hot
+from dcsh.data import SPLIT_ROLES, gen_synthetic, multi_hot
 from dcsh.errors import DimensionError, ParseError
 from dcsh.formats import (
     read_centers,
@@ -32,6 +32,11 @@ from dcsh.formats import (
 )
 from dcsh.network import build_model
 from dcsh.retrieval import PackedCodeIndex, pack_codes, unpack_codes
+
+
+def roles(*tags):
+    """The uint8 role bits of split tags, through `SPLIT_ROLES`."""
+    return np.array([SPLIT_ROLES[t] for t in tags], dtype=np.uint8)
 
 
 class TestFeatures:
@@ -205,9 +210,12 @@ class TestLabels:
 class TestSplit:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "s.txt"
-        tags = ["query", "gallery+train", "gallery", "train"]
+        tags = roles("query", "gallery+train", "gallery", "train")
         write_split(path, tags)
-        assert read_split(path) == tags
+        assert path.read_bytes() == b"query\ngallery+train\ngallery\ntrain\n"
+        back = read_split(path)
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, tags)
 
     def test_unknown_tag_line(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -215,6 +223,18 @@ class TestSplit:
         with pytest.raises(ParseError) as err:
             read_split(path)
         assert err.value.line == 2
+        assert str(err.value) == (
+            f"{path}:2: unknown split tag 'test', expected one of "
+            "('train', 'gallery', 'query', 'gallery+train')"
+        )
+
+    @pytest.mark.parametrize("value", [0, 5, 6, 7, 8])
+    def test_write_rejects_unknown_role(self, tmp_path, value):
+        path = tmp_path / "s.txt"
+        with pytest.raises(ParseError) as err:
+            write_split(path, np.array([1, value], dtype=np.uint8))
+        assert str(err.value) == f"{path}: unknown split tag {value}"
+        assert not path.exists()
 
 
 class TestDatasetIo:
@@ -225,14 +245,14 @@ class TestDatasetIo:
         back = load_dataset(f, l, s)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.tags == ds.tags
+        np.testing.assert_array_equal(back.tags, ds.tags)
         assert back.C == ds.C
 
     def test_load_builds_the_table_with_multi_hot(self, tmp_path):
         f, l, s = tmp_path / "f.bin", tmp_path / "l.txt", tmp_path / "s.txt"
         write_features(f, np.zeros((3, 2)))
         write_labels(l, [[0], [2, 1], [0]], C=4)
-        write_split(s, ["train"] * 3)
+        write_split(s, roles(*["train"] * 3))
         back = load_dataset(f, l, s)
         assert back.C == 4
         np.testing.assert_array_equal(
@@ -251,6 +271,18 @@ class TestDatasetIo:
         save_dataset(ds, f, l, s)
         assert hashlib.sha256(l.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "0c7b6815ec08a3a08d27cd96a40c5d01d0a020cfd91ac0df24955feabe751fba"),
+        (1, "4bb2dd959e29dbcdfcba95f498b859f198347477ad54a3858516a35dd0930c81"),
+    ])
+    def test_synthetic_splits_file_is_golden(self, tmp_path, seed, digest):
+        """The split file of a seeded dataset, byte for byte, as written
+        when `Dataset` still held one tag string per row."""
+        ds = gen_synthetic(N=300, D=8, C=5, multilabel_p=0.4, seed=seed)
+        f, l, s = tmp_path / "f.bin", tmp_path / "l.txt", tmp_path / "s.txt"
+        save_dataset(ds, f, l, s)
+        assert hashlib.sha256(s.read_bytes()).hexdigest() == digest
+
     def test_count_mismatch_names_offender(self, tmp_path):
         ds = gen_synthetic(N=10, D=6, C=3, seed=0)
         f, l, s = tmp_path / "f.bin", tmp_path / "l.txt", tmp_path / "s.txt"
@@ -259,11 +291,13 @@ class TestDatasetIo:
         with pytest.raises(ParseError) as err:
             load_dataset(f, l, s)
         assert err.value.path == str(l)
+        assert str(err.value) == f"{l}: 1 label lines vs 10 feature rows"
         save_dataset(ds, f, l, s)
-        write_split(s, ["query"])
+        write_split(s, roles("query"))
         with pytest.raises(ParseError) as err:
             load_dataset(f, l, s)
         assert err.value.path == str(s)
+        assert str(err.value) == f"{s}: 1 split lines vs 10 feature rows"
 
 
 class TestCenters:
@@ -832,8 +866,10 @@ def test_line_ends_read_alike(tmp_path, end, last):
 
     labels, C = read_labels(write("l.txt", [b"classes=3", b"0,2", b"1"]))
     assert C == 3 and [l.classes for l in labels] == [(0, 2), (1,)]
-    assert read_split(write("s.txt", [b"query", b"gallery+train"])) == [
-        "query", "gallery+train"]
+    np.testing.assert_array_equal(
+        read_split(write("s.txt", [b"query", b"gallery+train"])),
+        roles("query", "gallery+train"),
+    )
     centers = read_centers(write("c.txt", [b"B=3 C=2 epoch=4", b"011", b"100"]))
     np.testing.assert_array_equal(centers.codes, [[0, 1, 1], [1, 0, 0]])
     assert centers.epoch == 4
