@@ -21,7 +21,7 @@ from .centers import (
     gen_hadamard_centers,
     update_centers,
 )
-from .data import Dataset, LabelSet, gen_synthetic, multi_hot
+from .data import Dataset, gen_synthetic, label_classes, multi_hot
 from .errors import (
     ConfigurationError,
     CoverageError,

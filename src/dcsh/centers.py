@@ -12,13 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import LabelSet, check_label_table
-from .errors import (
-    ConfigurationError,
-    CoverageError,
-    DimensionError,
-    LabelError,
-)
+from .data import check_label_table, label_classes
+from .errors import ConfigurationError, CoverageError, DimensionError
 from .numerics import check_seed
 
 # Candidate sets drawn by `gen_bernoulli_centers`.
@@ -116,7 +111,7 @@ def min_pairwise_distance(centers):
 
 
 def assign_target(labels, centers, seed):
-    """Target codeword for one sample.
+    """Target codeword for one sample's label set (`data.label_classes`).
 
     A single label passes its class center through verbatim. Multiple
     labels take a bitwise majority vote over the involved centers; a
@@ -124,22 +119,17 @@ def assign_target(labels, centers, seed):
     sorted label tuple, and the bit index, so the resolution is stable
     for a given sample across epochs.
     """
-    if not isinstance(labels, LabelSet):
-        labels = LabelSet(labels)
-    if labels.classes[-1] >= centers.C:
-        raise LabelError(
-            f"class index {labels.classes[-1]} out of range for C={centers.C}"
-        )
-    rows = centers.codes[list(labels.classes), :]
-    if len(labels) == 1:
+    classes = label_classes(labels, centers.C)
+    rows = centers.codes[list(classes), :]
+    n = len(classes)
+    if n == 1:
         return rows[0].copy()
     votes = rows.sum(axis=0, dtype=np.int64)
-    n = len(labels)
     target = (2 * votes > n).astype(np.uint8)
     tied = 2 * votes == n
     if tied.any():
         rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), *labels.classes])
+            np.random.SeedSequence([int(seed), *classes])
         )
         draws = rng.integers(0, 2, size=centers.B, dtype=np.uint8)
         target[tied] = draws[tied]

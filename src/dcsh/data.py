@@ -1,5 +1,6 @@
 """Datasets (features, N x C 0/1 label table, split role bits) and the
-label code: `LabelSet`, `label_incidence`, `multi_hot`, `check_label_table`.
+label code: `label_classes`, the rule of one label set (a sorted tuple
+of class indices), then `label_incidence`, `multi_hot`, `check_label_table`.
 
 Also provides the seeded synthetic generator used for desk-scale runs:
 class prototypes on a scaled unit sphere, unit Gaussian noise, optional
@@ -98,50 +99,44 @@ def split_indices(tags, which):
     return rows.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class LabelSet:
-    """Non-empty set of class indices attached to one sample."""
-
-    classes: tuple
-
-    def __init__(self, classes):
-        items = tuple(sorted(int(c) for c in classes))
-        if not items:
-            raise LabelError("label set is empty")
-        if len(set(items)) != len(items):
-            raise LabelError(f"duplicate class indices in {items}")
-        if items[0] < 0:
-            raise LabelError(f"negative class index in {items}")
-        object.__setattr__(self, "classes", items)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __contains__(self, c):
-        return c in self.classes
+def label_classes(classes, C=None):
+    """One sample's label set as a sorted tuple of class indices, under
+    the one label-set rule: at least one class, none negative, none
+    twice, and none >= C when C is given."""
+    items = tuple(sorted(map(int, classes)))
+    if not items:
+        raise LabelError("label set is empty")
+    if len(set(items)) != len(items):
+        raise LabelError(f"duplicate class indices in {items}")
+    if items[0] < 0:
+        raise LabelError(f"negative class index in {items}")
+    if C is not None and items[-1] >= C:
+        raise LabelError(f"class index {items[-1]} >= C={C}")
+    return items
 
 
 def label_incidence(labels, C=None):
     """Label sets -> N x C boolean table, True where a sample carries a
     class; column-major, so one class is one contiguous column. C
-    defaults to the largest class + 1."""
-    sets = [(l if isinstance(l, LabelSet) else LabelSet(l)).classes
-            for l in labels]
+    defaults to the largest class + 1. Checked in bulk (a class per row,
+    each in [0, C), one True per class); a failing input is walked
+    through `label_classes` to name its first bad sample."""
+    sets = tuple(labels)
     classes = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
     counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    rows = np.repeat(np.arange(len(sets)), counts)
     if C is None:
         C = int(classes.max(initial=-1)) + 1
-    out = np.flatnonzero(classes >= C)
-    if out.size:
-        n = int(rows[out[0]])
-        raise LabelError(f"sample {n} has class index {sets[n][-1]} >= C={C}")
     table = np.zeros((C, len(sets)), dtype=bool).T
-    table[rows, classes] = True
-    return table
+    if (counts.min(initial=1) > 0 and classes.min(initial=0) >= 0
+            and classes.max(initial=-1) < C):
+        table[np.repeat(np.arange(len(sets)), counts), classes] = True
+        if np.count_nonzero(table) == classes.size:  # so no class repeats
+            return table
+    for n, classes_n in enumerate(sets):
+        try:
+            label_classes(classes_n, C)
+        except LabelError as exc:
+            raise LabelError(f"sample {n}: {exc}") from None
 
 
 def multi_hot(labels, C):

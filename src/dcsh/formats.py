@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .centers import HashCenterSet
-from .data import SPLIT_ROLES, Dataset, LabelSet, multi_hot
+from .data import SPLIT_ROLES, Dataset, label_classes, multi_hot
 from .errors import DimensionError, LabelError, ParseError
 
 FEATURE_MAGIC = b"DCSHFEAT"
@@ -144,6 +144,8 @@ def write_features(path, X):
     A = np.ascontiguousarray(X, dtype=np.float64)
     if A.ndim != 2:
         raise ParseError(path, f"features must be 2-D, got ndim={A.ndim}")
+    if not np.all(np.isfinite(A)):
+        raise ParseError(path, "non-finite feature values")
     _write_matrix(path, FEATURE_MAGIC, A, A.shape[1], "<f8")
 
 
@@ -159,12 +161,22 @@ def read_features(path):
 # ------------------------------------------------------------------ labels
 
 def write_labels(path, labels, C):
-    rows = [",".join(map(str, LabelSet(ls))) for ls in labels]
-    _write_lines(path, [f"classes={C}"] + rows)
+    """`classes=<C>`, then one sorted label set per line; a fault names
+    the line at which `read_labels` would stop."""
+    if C < 1:
+        raise ParseError(path, "classes must be >= 1", line=1)
+    rows = [f"classes={C}"]
+    for ln, classes in enumerate(labels, start=2):
+        try:
+            rows.append(",".join(map(str, label_classes(classes, C))))
+        except LabelError as exc:
+            raise ParseError(path, str(exc), line=ln) from None
+    _write_lines(path, rows)
 
 
 def read_labels(path):
-    """(label sets, C); repeated lines share one parsed LabelSet."""
+    """(label sets, C), each a `data.label_classes` tuple; repeated lines
+    share the one tuple of their first."""
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("classes="):
         raise ParseError(path, "missing classes=<C> header", line=1)
@@ -177,14 +189,9 @@ def read_labels(path):
             if not all(map(str.isdigit, fields)):
                 raise ParseError(path, f"bad label line {text!r}", line=ln)
             try:
-                ls = LabelSet(map(int, fields))
+                seen[text] = label_classes(map(int, fields), C)
             except LabelError as exc:
                 raise ParseError(path, str(exc), line=ln) from None
-            if ls.classes[-1] >= C:
-                raise ParseError(
-                    path, f"class index {ls.classes[-1]} >= C={C}", line=ln
-                )
-            seen[text] = ls
         labels.append(seen[text])
     return labels, C
 
@@ -365,14 +372,17 @@ def read_codes_packed(path):
 
 def write_model(path, layers):
     """Persist affine layers as (rows, cols, weights, biases) records."""
+    layers = [(np.ascontiguousarray(W, dtype=np.float64),
+               np.ascontiguousarray(b, dtype=np.float64)) for W, b in layers]
+    for A, v in layers:
+        if A.ndim != 2 or v.ndim != 1 or v.shape[0] != A.shape[1]:
+            raise ParseError(path, "layer shapes inconsistent")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(v))):
+            raise ParseError(path, "non-finite model parameters")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(layers)))
-        for W, b in layers:
-            A = np.ascontiguousarray(W, dtype=np.float64)
-            v = np.ascontiguousarray(b, dtype=np.float64)
-            if A.ndim != 2 or v.ndim != 1 or v.shape[0] != A.shape[1]:
-                raise ParseError(path, "layer shapes inconsistent")
+        for A, v in layers:
             fh.write(struct.pack("<II", A.shape[0], A.shape[1]))
             fh.write(A.astype("<f8").tobytes(order="C"))
             fh.write(v.astype("<f8").tobytes(order="C"))

@@ -51,12 +51,13 @@ def unpack_codes(words, B):
     return np.unpackbits(by, axis=1, count=B, bitorder="little")
 
 
-def _count_rows(xor, dtype, out=None):
-    """Set bits in each row of an (n, W) uint64 block. One word per row
-    is counted straight into the result; wider rows are summed."""
-    if xor.shape[1] == 1:
-        return np.bitwise_count(xor[:, 0], out=out)
-    return np.bitwise_count(xor).sum(axis=1, dtype=dtype, out=out)
+def _count_rows(xor, out):
+    """Set bits in each row of an (n, W) uint64 block, into `out`: word
+    column 0 is counted, then each further column's count added."""
+    np.bitwise_count(xor[:, 0], out=out)
+    for w in range(1, xor.shape[1]):
+        out += np.bitwise_count(xor[:, w])
+    return out
 
 
 def scan_distances(gallery_words, query_words):
@@ -75,14 +76,13 @@ def scan_distances(gallery_words, query_words):
     N, W = gallery.shape
     if W != query.shape[0]:
         raise ValueError(f"word counts differ: {W} vs {query.shape[0]}")
-    dtype = np.min_scalar_type(64 * W)
+    out = np.empty(N, dtype=np.min_scalar_type(64 * W))
     step = max(1, SCAN_BLOCK_WORDS // W)  # rows per block
     if N <= step:
-        return _count_rows(np.bitwise_xor(gallery, query), dtype)
-    out = np.empty(N, dtype=dtype)
+        return _count_rows(np.bitwise_xor(gallery, query), out)
     xor = np.empty((step, W), dtype=np.uint64)
     for start in range(0, N, step):
         block = gallery[start:start + step]
         _count_rows(np.bitwise_xor(block, query, out=xor[:block.shape[0]]),
-                    dtype, out[start:start + step])
+                    out[start:start + step])
     return out

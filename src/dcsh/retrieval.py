@@ -10,8 +10,9 @@ storage order: `_rank` bisects [0, B] for the k-th smallest distance t,
 counting rows with d <= t in each step, then sorts only the rows within
 t, cutting a large tie block at t down to k rows.
 A gallery sample is relevant to a query when it carries one of the
-query's classes (`relevance_mask`); the same-class rule only adds that
-every label set, the query's included, holds exactly one class. A query
+query's classes (`relevance_mask`, which checks the query's label set
+with `data.label_classes`); the same-class rule only adds that every
+label set, the query's included, holds exactly one class. A query
 with one class the gallery knows gets that class's column of the label
 table as a read-only view, with no copy. `pr_curve` takes a query's
 retrieved and relevant counts at every threshold from one `bincount`,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import LabelSet, label_incidence
+from .data import label_classes, label_incidence
 from .errors import ConfigurationError, DimensionError, LabelError
 # unpack_codes is unused here; perfbench/step.py calls retrieval.unpack_codes.
 from .kernels import pack_codes, unpack_codes
@@ -169,7 +170,7 @@ def relevance_mask(query_labels, gallery, rule):
             f"unknown relevance rule {rule!r}, expected one of {RELEVANCE_RULES}"
         )
     _require_labels(gallery, "gallery")
-    query_labels = LabelSet(query_labels)
+    query_labels = label_classes(query_labels)
     single = len(query_labels) == 1 and gallery.single_label
     if rule == SAME_CLASS and not single:
         raise LabelError("same-class rule requires single-label data")

@@ -15,7 +15,7 @@ import pytest
 from dcsh.cca import alpha, dcsh_lower_bound, k_max
 from dcsh.centers import gen_hadamard_centers, update_centers
 from dcsh.cli import main
-from dcsh.data import LabelSet, multi_hot
+from dcsh.data import label_classes, multi_hot
 from dcsh.network import finite_difference_report
 from dcsh.retrieval import PackedCodeIndex, average_precision
 
@@ -138,11 +138,11 @@ def test_center_update_matches_oracle():
             wsum = 0.0
             members = 0
             for h, ls in zip(hashes, label_sets):
-                if c not in ls.classes:
+                if c not in ls:
                     continue
                 f = 2.0 * h - 1.0
-                acc = acc + f / len(ls.classes)
-                wsum += 1.0 / len(ls.classes)
+                acc = acc + f / len(ls)
+                wsum += 1.0 / len(ls)
                 members += 1
             mean = acc / (wsum if normalized else members)
             for j in range(B):
@@ -163,10 +163,12 @@ def test_center_update_matches_oracle():
         if case % 5 == 0:
             # fixed point: binary rows grouped by class
             hashes = rng.integers(0, 2, size=(N, B)).astype(np.float64)
-        labels = [LabelSet([c]) for c in range(C)]
+        labels = [label_classes([c]) for c in range(C)]
         for _ in range(N - C):
             size = int(rng.integers(1, min(C, 3) + 1))
-            labels.append(LabelSet(rng.choice(C, size=size, replace=False)))
+            labels.append(
+                label_classes(rng.choice(C, size=size, replace=False))
+            )
         # The mean's divisor is positive, so both must give the same bits.
         got = update_centers(hashes, multi_hot(labels, C))
         if not (np.array_equal(got.codes, oracle(hashes, labels, C, False))
@@ -175,12 +177,12 @@ def test_center_update_matches_oracle():
     # planted fixed point: per-class binary rows reproduce the centers
     base = rng.integers(0, 2, size=(4, 12), dtype=np.uint8)
     rep = np.repeat(base, 3, axis=0).astype(np.float64)
-    rep_labels = [LabelSet([c]) for c in np.repeat(np.arange(4), 3)]
+    rep_labels = [label_classes([c]) for c in np.repeat(np.arange(4), 3)]
     fixed = update_centers(rep, multi_hot(rep_labels, 4))
     fixed_ok = np.array_equal(fixed.codes, base)
     # planted tie: means of exactly zero must come out as bit 1
     tie = update_centers(np.array([[0.5, 1.0], [0.5, 0.0]]),
-                         multi_hot([LabelSet([0]), LabelSet([0])], 1))
+                         multi_hot([label_classes([0])] * 2, 1))
     tie_ok = np.array_equal(tie.codes, [[1, 1]])
     ok = mismatches == 0 and fixed_ok and tie_ok
     check(ok, f"center update vs brute-force oracle: {100 - mismatches}/100 "

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dcsh import kernels
+from dcsh import data, kernels
 from dcsh.centers import (
     HashCenterSet,
     assign_target,
@@ -15,7 +15,7 @@ from dcsh.centers import (
 from dcsh.data import (
     SPLIT_ROLES,
     Dataset,
-    LabelSet,
+    label_classes,
     label_incidence,
     multi_hot,
 )
@@ -48,23 +48,29 @@ def brute_force_update(hashes, label_sets, C, normalized=False):
 
 class TestLabelSet:
     def test_sorts_and_stores(self):
-        ls = LabelSet([3, 1, 2])
-        assert ls.classes == (1, 2, 3)
+        ls = label_classes([3, 1, 2])
+        assert ls == (1, 2, 3)
         assert len(ls) == 3
         assert 2 in ls and 0 not in ls
         assert list(ls) == [1, 2, 3]
 
     def test_empty_rejected(self):
         with pytest.raises(LabelError):
-            LabelSet([])
+            label_classes([])
 
     def test_duplicate_rejected(self):
         with pytest.raises(LabelError):
-            LabelSet([1, 1])
+            label_classes([1, 1])
 
     def test_negative_rejected(self):
         with pytest.raises(LabelError):
-            LabelSet([-1, 2])
+            label_classes([-1, 2])
+
+    def test_bound_checked_only_when_given(self):
+        assert label_classes(np.array([4, 0]), C=5) == (0, 4)
+        assert label_classes([7]) == (7,)
+        with pytest.raises(LabelError, match=r"^class index 5 >= C=5$"):
+            label_classes([5, 0], C=5)
 
 
 class TestHashCenterSet:
@@ -173,7 +179,7 @@ def test_min_pairwise_distance_matches_bit_loop(B, C, tie):
 class TestAssignTarget:
     def test_single_label_passthrough(self):
         cs = gen_hadamard_centers(8, 4)
-        out = assign_target(LabelSet([2]), cs, seed=0)
+        out = assign_target(label_classes([2]), cs, seed=0)
         np.testing.assert_array_equal(out, cs.codes[2])
 
     def test_majority_without_ties(self):
@@ -183,13 +189,13 @@ class TestAssignTarget:
             [1, 0, 1, 0],
         ], dtype=np.uint8)
         cs = HashCenterSet(codes)
-        out = assign_target(LabelSet([0, 1, 2]), cs, seed=9)
+        out = assign_target(label_classes([0, 1, 2]), cs, seed=9)
         np.testing.assert_array_equal(out, [1, 1, 1, 0])
 
     def test_tie_bits_use_keyed_draws(self):
         codes = np.array([[1, 0, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)
         cs = HashCenterSet(codes)
-        out = assign_target(LabelSet([0, 1]), cs, seed=0)
+        out = assign_target(label_classes([0, 1]), cs, seed=0)
         draws = np.random.default_rng(
             np.random.SeedSequence([0, 0, 1])
         ).integers(0, 2, size=4, dtype=np.uint8)
@@ -200,9 +206,9 @@ class TestAssignTarget:
         rng = np.random.default_rng(11)
         codes = rng.integers(0, 2, size=(6, 16), dtype=np.uint8)
         cs = HashCenterSet(codes)
-        a = assign_target(LabelSet([4, 1]), cs, seed=5)
-        b = assign_target(LabelSet([1, 4]), cs, seed=5)
-        c = assign_target(LabelSet([1, 4]), cs, seed=5)
+        a = assign_target(label_classes([4, 1]), cs, seed=5)
+        b = assign_target(label_classes([1, 4]), cs, seed=5)
+        c = assign_target(label_classes([1, 4]), cs, seed=5)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(b, c)
 
@@ -210,14 +216,15 @@ class TestAssignTarget:
         codes = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         cs = HashCenterSet(codes)
         outs = {
-            tuple(assign_target(LabelSet([0, 1]), cs, seed=s)) for s in range(20)
+            tuple(assign_target(label_classes([0, 1]), cs, seed=s))
+            for s in range(20)
         }
         assert len(outs) > 1
 
     def test_out_of_range_label_rejected(self):
         cs = gen_hadamard_centers(4, 2)
-        with pytest.raises(LabelError):
-            assign_target(LabelSet([2]), cs, seed=0)
+        with pytest.raises(LabelError, match=r"^class index 2 >= C=2$"):
+            assign_target(label_classes([2]), cs, seed=0)
 
     def test_plain_iterable_accepted(self):
         cs = gen_hadamard_centers(8, 4)
@@ -294,7 +301,7 @@ class TestUpdateCenters:
             # Group size or weight sum: a positive divisor keeps the sign.
             for normalized in (False, True):
                 want = brute_force_update(
-                    hashes, [LabelSet(l) for l in labels], C, normalized
+                    hashes, [label_classes(l) for l in labels], C, normalized
                 )
                 np.testing.assert_array_equal(got.codes, want)
 
@@ -386,3 +393,25 @@ class TestLabelIncidence:
             label_incidence([[0], []])
         with pytest.raises(LabelError):
             label_incidence([[1, 1]])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "label set is empty"),
+        ([2, 2], "duplicate class indices in (2, 2)"),
+        ([-1, 0], "negative class index in (-1, 0)"),
+        ([1, 4], "class index 4 >= C=4"),
+    ], ids=["empty", "repeat", "negative", "too-large"])
+    def test_first_bad_sample_named(self, bad, message):
+        labels = [[0], [3, 1], bad, [0, 0], [2]]
+        with pytest.raises(LabelError) as err:
+            label_incidence(labels, C=4)
+        assert str(err.value) == f"sample 2: {message}"
+
+    def test_valid_sets_skip_the_row_check(self, monkeypatch):
+        def refuse(classes, C=None):
+            raise AssertionError("a valid input went row by row")
+
+        monkeypatch.setattr(data, "label_classes", refuse)
+        table = label_incidence([(0, 2), (1,), np.array([2])], C=3)
+        np.testing.assert_array_equal(
+            table, [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+        )

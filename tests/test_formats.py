@@ -39,6 +39,15 @@ def roles(*tags):
     return np.array([SPLIT_ROLES[t] for t in tags], dtype=np.uint8)
 
 
+def put_float64(path, old, new):
+    """Overwrite the one float64 `old` in a binary file with `new`, to
+    make a file that no writer would write."""
+    blob = path.read_bytes()
+    old, new = np.float64(old).tobytes(), np.float64(new).tobytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+
+
 class TestFeatures:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -99,10 +108,19 @@ class TestFeatures:
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
-        write_features(path, np.array([[1.0, np.inf], [0.0, 2.0]]))
+        write_features(path, np.array([[1.0, 5.0], [0.0, 2.0]]))
+        put_float64(path, 5.0, np.inf)
         with pytest.raises(ParseError) as err:
             read_features(path)
         assert "non-finite feature values" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_writer_refuses_non_finite(self, tmp_path, bad):
+        path = tmp_path / "f.bin"
+        with pytest.raises(ParseError) as err:
+            write_features(path, np.array([[1.0, bad], [0.0, 2.0]]))
+        assert str(err.value) == f"{path}: non-finite feature values"
+        assert not path.exists()
 
     def test_empty_matrix_roundtrip(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -125,7 +143,25 @@ class TestLabels:
         write_labels(path, [[0], [2, 1], [3]], C=4)
         labels, C = read_labels(path)
         assert C == 4
-        assert [l.classes for l in labels] == [(0,), (1, 2), (3,)]
+        assert labels == [(0,), (1, 2), (3,)]
+
+    @pytest.mark.parametrize("labels, C, message", [
+        ([[0]], 0, "1: classes must be >= 1"),
+        ([[0], [5]], 3, "3: class index 5 >= C=3"),
+        ([[0], [1, 1]], 3, "3: duplicate class indices in (1, 1)"),
+        ([[0], []], 3, "3: label set is empty"),
+        ([[-1, 2]], 3, "2: negative class index in (-1, 2)"),
+    ], ids=["zero-classes", "class-too-large", "repeat", "empty", "negative"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, labels,
+                                                    C, message):
+        """The writer names the line at which the reader would reject
+        the file; but a negative class, which the reader's grammar
+        rejects as a bad line, is named by the label-set rule."""
+        path = tmp_path / "l.txt"
+        with pytest.raises(ParseError) as err:
+            write_labels(path, labels, C)
+        assert str(err.value) == f"{path}:{message}"
+        assert not path.exists()
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "l.txt"
@@ -160,7 +196,7 @@ class TestLabels:
         path = tmp_path / "l.txt"
         path.write_text("classes=3\n2,0\n1\n2,0\n1\n")
         labels, _ = read_labels(path)
-        assert [l.classes for l in labels] == [(0, 2), (1,), (0, 2), (1,)]
+        assert labels == [(0, 2), (1,), (0, 2), (1,)]
         assert labels[0] is labels[2] and labels[1] is labels[3]
 
     def test_bad_line_after_repeated_good_lines(self, tmp_path):
@@ -204,7 +240,7 @@ class TestLabels:
         path = tmp_path / "l.txt"
         path.write_text("classes=012\n007,10\n")
         labels, C = read_labels(path)
-        assert C == 12 and labels[0].classes == (7, 10)
+        assert C == 12 and labels[0] == (7, 10)
 
 
 class TestSplit:
@@ -740,9 +776,27 @@ class TestModel:
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_model(path, [(np.array([[np.inf]]), np.zeros(1))])
+        write_model(path, [(np.array([[7.0]]), np.zeros(1))])
+        put_float64(path, 7.0, np.inf)
         with pytest.raises(ParseError):
             read_model(path)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_writer_refuses_non_finite(self, tmp_path, layer):
+        model = build_model(D=6, C=3, bits=4, hidden=(8,), d_int=12, seed=5)
+        layers = [(W.copy(), b.copy()) for W, b in model.layers]
+        layers[1][layer][0] = np.inf  # a weight, then a bias
+        path = tmp_path / "m.bin"
+        with pytest.raises(ParseError) as err:
+            write_model(path, layers)
+        assert str(err.value) == f"{path}: non-finite model parameters"
+        assert not path.exists()
+
+    def test_writer_refuses_bad_shapes_before_opening(self, tmp_path):
+        path = tmp_path / "m.bin"
+        with pytest.raises(ParseError, match="layer shapes inconsistent"):
+            write_model(path, [(np.zeros((2, 3)), np.zeros(2))])
+        assert not path.exists()
 
 
 def read_loss(path):
@@ -865,7 +919,7 @@ def test_line_ends_read_alike(tmp_path, end, last):
         return path
 
     labels, C = read_labels(write("l.txt", [b"classes=3", b"0,2", b"1"]))
-    assert C == 3 and [l.classes for l in labels] == [(0, 2), (1,)]
+    assert C == 3 and labels == [(0, 2), (1,)]
     np.testing.assert_array_equal(
         read_split(write("s.txt", [b"query", b"gallery+train"])),
         roles("query", "gallery+train"),

@@ -62,6 +62,14 @@ class TestBlockedScan:
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, (bits != qbits).sum(axis=1))
 
+    @pytest.mark.parametrize("n", [1, 3])  # one-shot, then blocked
+    def test_every_bit_of_256_differs(self, monkeypatch, n):
+        monkeypatch.setattr(kernels, "SCAN_BLOCK_WORDS", self.BLOCK_WORDS)
+        ones = np.full(4, np.iinfo(np.uint64).max, dtype=np.uint64)
+        got = kernels.scan_distances(np.zeros((n, 4), dtype=np.uint64), ones)
+        assert got.dtype == np.uint16
+        np.testing.assert_array_equal(got, [256] * n)
+
     def test_rows_wider_than_a_block(self, monkeypatch):
         monkeypatch.setattr(kernels, "SCAN_BLOCK_WORDS", 2)
         rng = np.random.default_rng(3)

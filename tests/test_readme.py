@@ -1,7 +1,11 @@
 """README claims checked against the package they describe."""
 
+import builtins
+import importlib
 import pathlib
 import re
+
+import numpy as np
 
 import dcsh
 from dcsh.cli import _build_parser
@@ -81,3 +85,43 @@ def test_library_layout_states_each_exit_code():
         and obj is not dcsh.DcshError
     }
     assert stated == exported
+
+
+def layout_names():
+    """(module, identifier) for every backticked identifier, dotted or
+    not, in each "Library layout" row."""
+    for line in section("Library layout").splitlines():
+        row = re.match(r"^\| `dcsh\.(\w+)` \|(.*)\|$", line)
+        if row:
+            for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", row[2]):
+                yield importlib.import_module(f"dcsh.{row[1]}"), name
+
+
+def resolves(module, name):
+    """Whether `name` is found in the row's module, the dcsh package,
+    builtins or numpy, with each dotted part an attribute of the one
+    before; a bare name may also be an attribute of a class the module
+    defines (`exit_code`)."""
+    head, *rest = name.split(".")
+    for space in (module, dcsh, builtins, np):
+        if hasattr(space, head):
+            obj = getattr(space, head)
+            break
+    else:
+        return not rest and any(
+            isinstance(cls, type) and cls.__module__ == module.__name__
+            and hasattr(cls, head) for cls in vars(module).values()
+        )
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_library_layout_names_resolve():
+    names = list(layout_names())
+    assert names
+    stale = [f"dcsh.{m.__name__.split('.')[-1]}: {n}" for m, n in names
+             if not resolves(m, n)]
+    assert not stale, stale

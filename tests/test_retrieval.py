@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsh.data import LabelSet
+from dcsh.data import label_classes
 from dcsh.errors import ConfigurationError, DimensionError, LabelError
 from dcsh.retrieval import (
     PackedCodeIndex,
@@ -175,7 +175,7 @@ class TestPackedCodeIndex:
         ids = np.arange(len(labels))
         plain = PackedCodeIndex.from_bits(bits, ids, labels=labels)
         sets = PackedCodeIndex.from_bits(
-            bits, ids, labels=[LabelSet(l) for l in labels]
+            bits, ids, labels=[label_classes(l) for l in labels]
         )
         assert plain.single_label is sets.single_label is single
         np.testing.assert_array_equal(plain.incidence, sets.incidence)
